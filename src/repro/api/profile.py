@@ -18,7 +18,6 @@ from typing import Iterator, Optional, Union
 from repro._deprecation import deprecated_call
 from repro.bitvec.kernel import KERNELS, active_kernel, use_kernel
 from repro.core.checkpoint import ExecutionLimits
-from repro.core.parallel import WORKER_MODES
 from repro.core.solver import SolverOptions
 from repro.errors import ReproError
 from repro.store.engine import PROFILES
@@ -88,17 +87,6 @@ class ExecutionProfile:
     * ``incremental_fallback_fraction`` — give up on the bounded
       cascade and re-solve cold when the delta re-activates more than
       this fraction of the query's inequalities.
-    * ``workers`` — parallel evaluation width for the batched kernel's
-      flush computes (:mod:`repro.core.parallel`).  ``None`` or ``1``
-      runs serial (the exact pre-parallel code path); higher values
-      are a pure throughput knob — answers, trajectory, and work
-      counters stay bit-identical, so continuations taken under one
-      worker count resume under any other.
-    * ``worker_mode`` — ``"threads"`` (default; safe on every
-      backend — NumPy releases the GIL inside the bitwise kernels) or
-      ``"fork"`` (a pool of forked processes each mmapping its own
-      — on sharded snapshots, disjoint — subset of the snapshot;
-      falls back to threads off-snapshot).
     """
 
     engine: str = "virtuoso-like"
@@ -111,8 +99,6 @@ class ExecutionProfile:
     trace: bool = False
     incremental: bool = True
     incremental_fallback_fraction: float = 0.5
-    workers: Optional[int] = None
-    worker_mode: str = "threads"
 
     def __post_init__(self):
         if self.engine not in PROFILES:
@@ -147,38 +133,10 @@ class ExecutionProfile:
                 f"incremental_fallback_fraction must be in [0, 1], "
                 f"got {self.incremental_fallback_fraction}"
             )
-        if self.workers is not None and (
-            not isinstance(self.workers, int) or self.workers < 1
-        ):
-            raise ReproError(
-                f"workers must be a positive integer, got {self.workers!r}"
-            )
-        if self.worker_mode not in WORKER_MODES:
-            raise ReproError(
-                f"unknown worker_mode {self.worker_mode!r}; "
-                f"choose from {WORKER_MODES}"
-            )
 
     def solver_options(self) -> SolverOptions:
-        """The profile's solver options with the parallel knobs folded in.
-
-        ``workers``/``worker_mode`` live on the profile (they are an
-        execution concern, like the kernel), but the solver consumes
-        them — this is the single place they meet.
-        """
-        if self.workers is None and self.worker_mode == "threads":
-            return self.solver
-        import dataclasses
-
-        return dataclasses.replace(
-            self.solver,
-            workers=(
-                self.workers
-                if self.workers is not None
-                else self.solver.workers
-            ),
-            worker_mode=self.worker_mode,
-        )
+        """The solver options queries run with: ``self.solver``."""
+        return self.solver
 
     @classmethod
     def coerce(

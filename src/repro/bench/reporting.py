@@ -155,10 +155,6 @@ def render_kernel_bench(rows: List[KernelBenchRow]) -> str:
     pairs = _kernel_pairs(rows)
     kernels = _kernels_present(pairs)
     fast = [kernel for kernel in kernels if kernel != "reference"]
-    n_workers = max(
-        (row.workers for row in rows if row.t_workers is not None),
-        default=0,
-    )
     body = []
     for query, by_kernel in pairs.items():
         if any(kernel not in by_kernel for kernel in kernels):
@@ -174,23 +170,6 @@ def render_kernel_bench(rows: List[KernelBenchRow]) -> str:
                 t = by_kernel[kernel].t_solve
                 speedup = reference.t_solve / t if t > 0 else float("inf")
                 cells.append(f"{speedup:.1f}x")
-        if n_workers:
-            parallel = next(
-                (
-                    row for row in by_kernel.values()
-                    if row.t_workers is not None
-                ),
-                None,
-            )
-            if parallel is None:
-                cells.extend(["-", "-"])
-            else:
-                cells.append(_fmt_time(parallel.t_workers))
-                scale = (
-                    parallel.t_solve / parallel.t_workers
-                    if parallel.t_workers > 0 else float("inf")
-                )
-                cells.append(f"{scale:.2f}x")
         masses = {by_kernel[kernel].total_bits for kernel in kernels}
         cells.append("yes" if len(masses) == 1 else "NO")
         body.append(cells)
@@ -198,8 +177,6 @@ def render_kernel_bench(rows: List[KernelBenchRow]) -> str:
     headers.extend(f"t_{kernel}" for kernel in kernels)
     if "reference" in kernels:
         headers.extend(f"ref/{kernel}" for kernel in fast)
-    if n_workers:
-        headers.extend([f"t_w={n_workers}", "scale"])
     headers.append("fixpoint=")
     return render_table(headers, body)
 
@@ -308,12 +285,6 @@ def write_bench_json(
                 "updates": row.updates,
                 "bits_removed": row.bits_removed,
                 "total_bits": row.total_bits,
-                # Scaling fields ride along only on --workers runs so
-                # plain baselines keep the exact repro-bench/v1 shape.
-                **(
-                    {"t_workers": row.t_workers, "workers": row.workers}
-                    if row.t_workers is not None else {}
-                ),
             }
             for row in rows
         ],

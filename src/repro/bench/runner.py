@@ -247,11 +247,6 @@ class KernelBenchRow:
     updates: int
     bits_removed: int
     total_bits: int      # fixpoint mass; must agree across kernels
-    #: Parallel-scaling measurement (``--workers N``): the same solve
-    #: under N workers.  ``None``/``1`` on plain runs — the baseline
-    #: JSON schema never sees these.
-    t_workers: Optional[float] = None
-    workers: int = 1
 
 
 def run_kernel_bench(
@@ -261,7 +256,6 @@ def run_kernel_bench(
     repeats: int = 3,
     options: Optional[SolverOptions] = None,
     kernels: Optional[List[str]] = None,
-    workers: Optional[int] = None,
 ) -> List[KernelBenchRow]:
     """Solve every query's BGP core on each product kernel.
 
@@ -272,11 +266,6 @@ def run_kernel_bench(
     in memory, so packing, block stacking, and cache warming are not
     part of a solve) and then ``repeats`` timed runs, reporting the
     best.
-
-    ``workers=N`` (N > 1) additionally times each *batched*-kernel
-    solve under N thread workers (``SolverOptions.workers``) so the
-    report carries a parallel-scaling column; answers are asserted
-    bit-identical to the serial fixpoint.
     """
     if names is None:
         names = (
@@ -337,40 +326,6 @@ def run_kernel_bench(
                         elapsed = (time.perf_counter() - start) / inner
                         if elapsed < cell[5]:
                             cell[5] = elapsed
-            parallel_best: Dict[str, float] = {}
-            if kernel == "batched" and workers and workers > 1:
-                # Scaling pass: same solves, N thread workers.  Only
-                # the batched kernel consumes the knob, so the other
-                # kernels keep their rows schema-stable.
-                from dataclasses import replace as _replace
-
-                par_options = _replace(
-                    options if options is not None else SolverOptions(),
-                    workers=workers, worker_mode="threads",
-                )
-                for cell in cells:
-                    name, db, pattern, inner, result = cell[:5]
-                    par = largest_dual_simulation(pattern, db, par_options)
-                    if par.total_bits() != result.total_bits():
-                        raise AssertionError(
-                            f"parallel fixpoint diverged on {name}: "
-                            f"{par.total_bits()} != {result.total_bits()}"
-                        )
-                for _ in range(max(1, repeats)):
-                    with _quiesced_gc():
-                        for cell in cells:
-                            name, db, pattern, inner = cell[:4]
-                            start = time.perf_counter()
-                            for _ in range(inner):
-                                largest_dual_simulation(
-                                    pattern, db, par_options
-                                )
-                            elapsed = (
-                                time.perf_counter() - start
-                            ) / inner
-                            best = parallel_best.get(name, float("inf"))
-                            if elapsed < best:
-                                parallel_best[name] = elapsed
         rows.extend(
             KernelBenchRow(
                 query=name,
@@ -382,10 +337,6 @@ def run_kernel_bench(
                 updates=result.report.updates,
                 bits_removed=result.report.bits_removed,
                 total_bits=result.total_bits(),
-                t_workers=parallel_best.get(name),
-                workers=(
-                    workers if name in parallel_best and workers else 1
-                ),
             )
             for name, db, pattern, inner, result, best in cells
         )

@@ -79,15 +79,6 @@ def _add_execution_flags(
                         help="bit-matrix product kernel (default: "
                              "process default; REPRO_KERNEL env var "
                              "is deprecated)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="parallel evaluation width for the "
-                             "batched kernel (1 = serial; answers are "
-                             "bit-identical at any width)")
-    parser.add_argument("--worker-mode", choices=("threads", "fork"),
-                        default=None, dest="worker_mode",
-                        help="parallel backend: threads (default) or "
-                             "fork (snapshot-backed sessions only; "
-                             "workers mmap disjoint shards)")
     if modes:
         parser.add_argument("--mode", choices=PRUNING_MODES, default=None,
                             help="query execution mode: always prune, "
@@ -174,10 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the table under this product kernel "
                             "(for `kernels`: measure only this "
                             "kernel; incompatible with --compare)")
-    bench.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="kernels only: also time each batched-"
-                            "kernel solve under N thread workers and "
-                            "report the scaling column")
 
     db = sub.add_parser("db", help="on-disk snapshot store")
     db_sub = db.add_subparsers(dest="db_command", required=True)
@@ -195,8 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--shards", type=int, default=None, metavar="N",
                        help="write the v3 sharded layout: block "
                             "payloads split across N shard files "
-                            "keyed by label hash (enables disjoint "
-                            "mmaps for --worker-mode fork)")
+                            "keyed by label hash, each with its own "
+                            "checksum table, so `db verify` localizes "
+                            "corruption to one shard")
 
     info = db_sub.add_parser("info", help="describe a snapshot file")
     info.add_argument("snapshot", help="snapshot path")
@@ -320,8 +308,6 @@ def _execution_profile(args, default_mode: str = "full") -> ExecutionProfile:
         ("budget", "residency_budget"),
         ("quantum", "time_quantum_ms"),
         ("deadline", "deadline_ms"),
-        ("workers", "workers"),
-        ("worker_mode", "worker_mode"),
     ):
         value = getattr(args, flag, None)
         if value is not None:
@@ -721,13 +707,10 @@ def cmd_bench(args, out) -> int:
         )
         return 2
     if args.table != "kernels" and (
-        args.repeats is not None
-        or args.compare_to is not None
-        or args.workers is not None
+        args.repeats is not None or args.compare_to is not None
     ):
         print(
-            "error: --repeats/--compare/--workers only apply to "
-            "`bench kernels`",
+            "error: --repeats/--compare only apply to `bench kernels`",
             file=sys.stderr,
         )
         return 2
@@ -826,36 +809,8 @@ def _run_bench_table(args, out) -> int:
         rows = run_kernel_bench(
             repeats=3 if args.repeats is None else args.repeats,
             kernels=None if args.kernel is None else [args.kernel],
-            workers=args.workers,
         )
         print(render_kernel_bench(rows), file=out)
-        scaled = [
-            row.t_solve / row.t_workers
-            for row in rows
-            if row.t_workers is not None and row.t_workers > 0
-        ]
-        scaled_b = [
-            row.t_solve / row.t_workers
-            for row in rows
-            if row.t_workers is not None and row.t_workers > 0
-            and row.dataset == "dbpedia"
-        ]
-        if scaled:
-            def _geo(values):
-                product = 1.0
-                for value in values:
-                    product *= value
-                return product ** (1.0 / len(values))
-
-            b_part = (
-                f", {_geo(scaled_b):.2f}x on B-queries" if scaled_b else ""
-            )
-            print(
-                f"parallel scaling at --workers {args.workers}: "
-                f"geomean {_geo(scaled):.2f}x{b_part} "
-                f"({len(scaled)} queries)",
-                file=out,
-            )
         summary = kernel_bench_summary(rows)
         kernels_run = summary["kernels"]
         if "packed" in kernels_run and "reference" in kernels_run:

@@ -58,16 +58,14 @@ class _Batch:
     """
 
     __slots__ = (
-        "n", "blocks", "targets", "executor",
+        "n", "blocks", "targets",
         "row_targets", "row_positions",
         "col_targets", "col_candidates", "col_positions", "col_vectors",
-        "remote_targets", "remote_tasks",
     )
 
-    def __init__(self, n: int, blocks: BatchedBlockSet, executor=None):
+    def __init__(self, n: int, blocks: BatchedBlockSet):
         self.n = n
         self.blocks = blocks
-        self.executor = executor
         self.targets: Set[int] = set()
         self.row_targets: List[int] = []
         self.row_positions: List[np.ndarray] = []
@@ -75,8 +73,6 @@ class _Batch:
         self.col_candidates: List[np.ndarray] = []
         self.col_positions: List[np.ndarray] = []
         self.col_vectors: List[np.ndarray] = []
-        self.remote_targets: List[int] = []
-        self.remote_tasks: List[tuple] = []
 
     def add_row(self, target: int, positions: np.ndarray) -> None:
         self.targets.add(target)
@@ -93,38 +89,13 @@ class _Batch:
         self.col_positions.append(positions)
         self.col_vectors.append(vector)
 
-    def add_remote(
-        self, target: int, label, direction: str, strategy: str,
-        source_words: np.ndarray, target_words: np.ndarray,
-    ) -> None:
-        """Defer a whole product to the executor's worker pool.
-
-        ``source_words``/``target_words`` are the rows' word arrays at
-        defer time — frozen values, since updates rebind rows rather
-        than mutating them (see the module doc)."""
-        self.targets.add(target)
-        self.remote_targets.append(target)
-        self.remote_tasks.append(
-            (label, direction, strategy, source_words, target_words)
-        )
-
     def flush(self, rows: Dict[int, Bitset], report, updated: Set[int]):
         """Compute every pending product, apply the shrinks, reset."""
         if not self.targets:
             return
-        # (target, result words); result arrays are batch-owned (or
-        # worker-returned copies), so the apply pass below may AND
-        # into them in place.
-        computed = (
-            self.executor.compute(self)
-            if self.executor is not None else None
-        )
-        if computed is not None:
-            # Parallel compute; the serial apply pass below is shared,
-            # so counters and updated-sets stay identical to serial.
-            results: List = computed
-        else:
-            results = self._compute_serial()
+        # (target, result words); result arrays are batch-owned, so the
+        # apply pass below may AND into them in place.
+        results = self._compute_serial()
 
         n = self.n
         for target, words in results:
@@ -148,12 +119,10 @@ class _Batch:
         self.col_candidates.clear()
         self.col_positions.clear()
         self.col_vectors.clear()
-        self.remote_targets.clear()
-        self.remote_tasks.clear()
 
     def _compute_serial(self) -> List:
-        """The serial product computations (the unbatched-executor hot
-        path, and the thread executor's small-flush fallback)."""
+        """Compute every pending product as ``(target, words)`` pairs,
+        rows first, then columns."""
         results: List = []
         block = self.blocks.block
         n = self.n
@@ -255,7 +224,6 @@ def run_batched(
     timer=None,
     resume_queue: Optional[List[int]] = None,
     resume_updated: Optional[Set[int]] = None,
-    executor=None,
 ) -> Optional[Tuple[List[int], Set[int]]]:
     """Run the static-ordering fixpoint loop with batched rounds.
 
@@ -271,27 +239,14 @@ def run_batched(
     ``None`` on reaching the fixpoint.  ``resume_queue`` /
     ``resume_updated`` continue a suspended round (an empty resumed
     queue closes the round, computing the next one from the set).
-
-    ``executor`` (:mod:`repro.core.parallel`) parallelizes the flush
-    computes.  ``executor is None`` is the serial hot path, untouched.
-    A *remote* executor (fork workers) additionally moves the product
-    materialization out of this process: real products defer as
-    ``(label, direction, strategy, bits)`` tasks instead of gathered
-    positions, so this process touches only summaries.  Either way the
-    trajectory, fixpoint, and counters match serial bit for bit:
-    hazard analysis and flush barriers are unchanged, and the deferred
-    zero-products of the remote path (serially an immediate update)
-    land at the next flush a reader of the target would force anyway.
     """
     find = soi.find
     source_of = [find(ineq.source) for ineq in inequalities]
     target_of = [find(ineq.target) for ineq in inequalities]
     is_copy = [isinstance(ineq, CopyInequality) for ineq in inequalities]
-    remote = executor is not None and executor.remote
 
-    batch = _Batch(n, blocks, executor)
+    batch = _Batch(n, blocks)
     entry = blocks.entry
-    add_remote = batch.add_remote
     flush = batch.flush
     add_row = batch.add_row
     add_col = batch.add_col
@@ -403,17 +358,6 @@ def run_batched(
             strategy = product
             if strategy == "auto":
                 strategy = "column" if before < source_count else "row"
-            if remote:
-                # Ship the whole product to a worker owning its own
-                # snapshot view: this process never materializes the
-                # label.  The rows' word arrays are frozen values
-                # (updates rebind), so capture-by-reference is safe.
-                add_remote(
-                    target, ineq.label,
-                    "forward" if forward else "backward",
-                    strategy, source_row.words, target_row.words,
-                )
-                continue
             if pair is None:
                 # Tiered view, real product ahead: materialize now.
                 pair = get_pair(ineq.label)

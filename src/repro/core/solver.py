@@ -30,7 +30,6 @@ from repro.bitvec.kernel import (
     use_kernel,
 )
 from repro.core.batched import run_batched
-from repro.core.parallel import WORKER_MODES, executor_for
 from repro.core.checkpoint import (
     ExecutionLimits,
     LimitTimer,
@@ -73,15 +72,6 @@ class SolverOptions:
     #: :class:`~repro.api.profile.ExecutionProfile` façade enables it
     #: for end-user sessions.  Typed repro errors always propagate.
     degrade_on_fault: bool = False
-    #: Parallel flush evaluation width for the batched kernel
-    #: (:mod:`repro.core.parallel`).  1 = serial (the default, and the
-    #: exact pre-parallel code path).  Proven bit-identical to serial,
-    #: so it is a pure throughput knob — excluded from continuation
-    #: fingerprints on purpose.
-    workers: int = 1
-    #: "threads" (safe everywhere) or "fork" (snapshot-backed scale-out;
-    #: falls back to threads off-snapshot).
-    worker_mode: str = "threads"
 
     def __post_init__(self):
         if self.initialization not in INITIALIZATIONS:
@@ -92,15 +82,6 @@ class SolverOptions:
             raise SolverError(f"unknown product strategy {self.product!r}")
         if self.ordering not in ORDERINGS + DYNAMIC_ORDERINGS:
             raise SolverError(f"unknown ordering {self.ordering!r}")
-        if not isinstance(self.workers, int) or self.workers < 1:
-            raise SolverError(
-                f"workers must be a positive integer, got {self.workers!r}"
-            )
-        if self.worker_mode not in WORKER_MODES:
-            raise SolverError(
-                f"unknown worker_mode {self.worker_mode!r} "
-                f"(expected one of {WORKER_MODES})"
-            )
 
 
 @dataclass
@@ -302,7 +283,6 @@ def _solve_segment(
         kernel=active_kernel(),
         ordering=options.ordering,
         resumed=resume is not None,
-        workers=options.workers,
     ) as span:
         result = _solve_once(
             soi, data, options, prefilter, limits=limits, resume=resume
@@ -506,7 +486,6 @@ def _solve_once(
                 resume_updated=(
                     set(resume.updated) if resume is not None else None
                 ),
-                executor=executor_for(options, data),
             )
             if suspended is not None:
                 remaining, updated = suspended

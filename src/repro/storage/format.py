@@ -56,9 +56,9 @@ payload lazily on first access; a mismatch raises
 Format **v3** (written on request by ``repro db build --shards N``)
 splits the block payloads across ``N`` *shard files* keyed by label
 hash — ``<snapshot>.shard0`` .. ``<snapshot>.shardN-1`` next to the
-manifest — so parallel workers can memory-map disjoint subsets of the
-graph.  The v3 header appends ``n_shards`` (u64) after
-``checksum_table_off`` and sets ``flags`` bit 1
+manifest — each with its own checksum table, so ``repro db verify``
+localizes payload corruption to one shard.  The v3 header appends
+``n_shards`` (u64) after ``checksum_table_off`` and sets ``flags`` bit 1
 (:data:`FLAG_SHARDED`).  The manifest keeps the metadata sections
 (header, dictionaries, block table) and a checksum table covering
 *only* those four sections; each shard file carries its **own**
@@ -455,8 +455,8 @@ def shard_of_label(label: Hashable, n_shards: int) -> int:
     """Which shard file holds the payloads of ``label``.
 
     CRC32C of the label's serialized term, modulo ``n_shards`` — stable
-    across processes and Python hash randomization, so a fork worker
-    computes the same placement the writer did.  Both directions of a
+    across processes and Python hash randomization, so every build of
+    the same graph places labels identically.  Both directions of a
     label share its shard by construction.
     """
     if n_shards <= 0:

@@ -319,9 +319,7 @@ class SnapshotReader:
         on first touch.
 
         Shards open lazily so a reader that only ever touches a few
-        labels maps only their shards — the point of sharding for the
-        fork worker pool, where each worker faults in a disjoint
-        subset."""
+        labels maps only their shards."""
         mm = self._shard_mms.get(index)
         if mm is not None:
             return mm

@@ -79,7 +79,7 @@ def test_bench_flag_gating():
 def test_bench_kernels_kernel_flag_restricts_run(monkeypatch):
     seen = {}
 
-    def fake_run(repeats, kernels=None, workers=None):
+    def fake_run(repeats, kernels=None):
         seen["kernels"] = kernels
         return [
             KernelBenchRow("L0", "lubm", "packed", 0.01, 2, 10, 5, 50, 100)
@@ -118,7 +118,7 @@ class TestKernelsCompare:
     def test_compare_ok_exit_zero(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
             bench_module, "run_kernel_bench",
-            lambda repeats, kernels=None, workers=None: _kernel_rows(t_packed=0.01),
+            lambda repeats, kernels=None: _kernel_rows(t_packed=0.01),
         )
         code, output = run_cli([
             "bench", "kernels",
@@ -131,7 +131,7 @@ class TestKernelsCompare:
         monkeypatch.setattr(
             bench_module, "run_kernel_bench",
             # 2x slower than the baseline below
-            lambda repeats, kernels=None, workers=None: _kernel_rows(t_packed=0.02),
+            lambda repeats, kernels=None: _kernel_rows(t_packed=0.02),
         )
         code, output = run_cli([
             "bench", "kernels",
@@ -147,7 +147,7 @@ class TestKernelsCompare:
         rows[0].total_bits = 999  # same speed, different answer mass
         monkeypatch.setattr(
             bench_module, "run_kernel_bench",
-            lambda repeats, kernels=None, workers=None: rows,
+            lambda repeats, kernels=None: rows,
         )
         code, output = run_cli([
             "bench", "kernels",
@@ -157,7 +157,7 @@ class TestKernelsCompare:
         assert "fixpoint!" in output
 
     def test_compare_missing_baseline_file(self, tmp_path, monkeypatch):
-        def boom(repeats, kernels=None, workers=None):
+        def boom(repeats, kernels=None):
             raise AssertionError("bench must not run before validation")
 
         monkeypatch.setattr(bench_module, "run_kernel_bench", boom)
@@ -170,7 +170,7 @@ class TestKernelsCompare:
     def test_compare_invalid_json_fails_before_bench(
         self, tmp_path, monkeypatch
     ):
-        def boom(repeats, kernels=None, workers=None):
+        def boom(repeats, kernels=None):
             raise AssertionError("bench must not run before validation")
 
         monkeypatch.setattr(bench_module, "run_kernel_bench", boom)
@@ -182,7 +182,7 @@ class TestKernelsCompare:
     def test_compare_wrong_schema_fails_before_bench(
         self, tmp_path, monkeypatch
     ):
-        def boom(repeats, kernels=None, workers=None):
+        def boom(repeats, kernels=None):
             raise AssertionError("bench must not run before validation")
 
         monkeypatch.setattr(bench_module, "run_kernel_bench", boom)
@@ -196,7 +196,7 @@ class TestKernelsCompare:
     ):
         monkeypatch.setattr(
             bench_module, "run_kernel_bench",
-            lambda repeats, kernels=None, workers=None: _kernel_rows(t_packed=0.01),
+            lambda repeats, kernels=None: _kernel_rows(t_packed=0.01),
         )
         path = tmp_path / "baseline.json"
         path.write_text(json.dumps({

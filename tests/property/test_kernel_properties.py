@@ -212,13 +212,17 @@ def string_patterns(draw, max_nodes=4, max_edges=6):
     return g
 
 
-@given(string_patterns(), databases(), st.sampled_from(STRATEGIES))
+@given(
+    string_patterns(), databases(), st.sampled_from(STRATEGIES),
+    st.sampled_from((0, 3)),
+)
 @settings(max_examples=25, deadline=None)
-def test_kernels_agree_after_midsolve_promotion(pattern, db, product):
-    """All three kernels reach the same fixpoint when every label
-    starts cold on disk and is promoted on first touch mid-solve —
-    for the batched kernel that appends freshly decoded rows to the
-    already-populated block set."""
+def test_kernels_agree_after_midsolve_promotion(pattern, db, product, shards):
+    """All three kernels reach the in-memory fixpoint and trajectory
+    when every label starts cold on disk — in a single-file
+    (``shards=0``) or sharded snapshot — and is promoted on first
+    touch mid-solve; for the batched kernel that appends freshly
+    decoded rows to the already-populated block set."""
     from repro.storage import TieredGraphView, write_snapshot
 
     options = SolverOptions(product=product)
@@ -229,8 +233,8 @@ def test_kernels_agree_after_midsolve_promotion(pattern, db, product):
         path = Path(scratch) / "graph.snap"
         # cold_threshold far above 1.0: every label stays gap-encoded
         # on disk, so each first touch is a promotion.
-        write_snapshot(db, path, cold_threshold=1e9)
-        for kernel in ("packed", "batched"):
+        write_snapshot(db, path, cold_threshold=1e9, shards=shards)
+        for kernel in KERNELS:
             view = TieredGraphView(path)
             assert view.residency().cold_labels == len(view.labels)
             with use_kernel(kernel):
@@ -239,6 +243,12 @@ def test_kernels_agree_after_midsolve_promotion(pattern, db, product):
                     view, options,
                 )
             assert result.total_bits() == expected.total_bits()
+            assert result.report.rounds == expected.report.rounds
+            assert result.report.evaluations == expected.report.evaluations
+            assert result.report.updates == expected.report.updates
+            assert (
+                result.report.bits_removed == expected.report.bits_removed
+            )
             touched = {
                 edge.label for edge in expected.soi.edges
                 if edge.label in view.labels

@@ -91,8 +91,8 @@ class TestShardAssignment:
 
     def test_both_directions_share_a_shard(self, tmp_path, movie_db):
         """Block entries key on (label, direction); both directions of
-        a label must land in the same shard so a worker owning the
-        label never touches a second file."""
+        a label must land in the same shard so loading the label never
+        touches a second file."""
         path, _ = _build(tmp_path, movie_db, shards=4)
         with SnapshotReader(path) as reader:
             by_label = {}
@@ -204,7 +204,7 @@ class TestShardedCli:
             [
                 "db", "query", str(snap),
                 "SELECT * WHERE { ?d directed ?m . }",
-                "--mode", "pruned", "--workers", "2",
+                "--mode", "pruned",
             ],
             out=out,
         )

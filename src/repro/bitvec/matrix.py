@@ -51,6 +51,17 @@ from repro.bitvec.bitset import Bitset, _WORD_BITS, _word_count
 from repro.bitvec.kernel import REFERENCE, active_kernel
 from repro.errors import DimensionMismatchError
 
+#: Packed words per chunk when deriving edge columns (512 KB of block,
+#: at most 4 MB unpacked).
+_COLUMN_CHUNK_WORDS = 1 << 16
+
+
+def _members(vec: Bitset, indices: np.ndarray) -> np.ndarray:
+    """``vec``'s bit at each of ``indices``, as a boolean array."""
+    words = vec.words[indices // _WORD_BITS]
+    shifts = (indices % _WORD_BITS).astype(np.uint64)
+    return ((words >> shifts) & np.uint64(1)).astype(bool)
+
 
 class AdjacencyMatrix:
     """One direction (forward or backward) of a label's adjacency.
@@ -137,6 +148,36 @@ class AdjacencyMatrix:
 
     # -- logical accessors ---------------------------------------------
 
+    def edge_columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every set bit as ``(row node, column)`` int64 columns,
+        sorted by row node, then column.
+
+        Works through the packed block a chunk of rows at a time and
+        unpacks only its non-zero words, so no temporary grows past a
+        few megabytes however dense the label is.
+        """
+        self.pack()
+        block, nodes = self._packed, self._row_nodes
+        if nodes.size == 0 or block.shape[1] == 0:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty
+        step = max(1, _COLUMN_CHUNK_WORDS // block.shape[1])
+        sources, targets = [], []
+        for start in range(0, nodes.size, step):
+            chunk = block[start:start + step]
+            rows, words = np.nonzero(chunk)
+            bits = np.unpackbits(
+                np.ascontiguousarray(chunk[rows, words]).view(np.uint8),
+                bitorder="little",
+            ).reshape(rows.size, _WORD_BITS)
+            hit, bit = np.nonzero(bits)
+            sources.append(nodes[start + rows[hit]])
+            targets.append(words[hit] * _WORD_BITS + bit)
+        return (
+            np.concatenate(sources).astype(np.int64, copy=False),
+            np.concatenate(targets).astype(np.int64, copy=False),
+        )
+
     def row(self, i: int) -> Bitset | None:
         """The row of node ``i`` or None when it is all-zero."""
         return self.rows.get(i)
@@ -189,16 +230,32 @@ class LabelMatrixPair:
     ``F_a`` is row ``j`` of ``B_a`` and vice versa.
     """
 
-    __slots__ = ("n", "forward", "backward")
+    __slots__ = ("n", "forward", "backward", "_columns")
 
     def __init__(self, n: int):
         self.n = n
         self.forward = AdjacencyMatrix(n)
         self.backward = AdjacencyMatrix(n)
+        self._columns: Tuple[np.ndarray, np.ndarray] | None = None
 
     def add_edge(self, src: int, dst: int) -> None:
         self.forward.add(src, dst)
         self.backward.add(dst, src)
+        self._columns = None
+
+    def edge_columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The label's edges as sorted ``(s, o)`` int64 columns,
+        derived from the forward block on first use and cached here
+        (so a rebuilt or demoted pair drops them too)."""
+        if self._columns is None:
+            self._columns = self.forward.edge_columns()
+        return self._columns
+
+    def edge_mask(self, source: Bitset, target: Bitset) -> np.ndarray:
+        """Boolean mask over :meth:`edge_columns`: the edges ``(s, o)``
+        with ``s`` in ``source`` and ``o`` in ``target``."""
+        s, o = self.edge_columns()
+        return _members(source, s) & _members(target, o)
 
     def pack(self) -> "LabelMatrixPair":
         """Pack both directions (idempotent); returns self."""

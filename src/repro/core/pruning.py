@@ -5,35 +5,59 @@ After solving the SOI of a query, a database triple ``(o, a, o')`` is
 row of ``v`` and ``o'`` in the row of ``w``.  Theorem 2 guarantees
 that every triple participating in any SPARQL match is retained, so
 evaluating the query on the pruned database loses nothing.
+
+:func:`prune` evaluates that rule column-wise: per label, one boolean
+mask over the label's sorted ``(s, o)`` edge columns, OR-ed across the
+SOI edges and union branches that use the label.
+:func:`retained_triples` is the same rule bit by bit, kept as the
+specification the tests compare against.
 """
 
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass
-from typing import Iterable, List, Set, Tuple
+from itertools import chain, repeat
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.core.compiler import CompiledQuery
+import numpy as np
+
 from repro.core.solver import SolverResult
 from repro.graph.database import GraphDatabase
 from repro.graph.graph import Graph
-from repro.store.triple_store import TripleStore
+from repro.rdf.dictionary import TermDictionary
+from repro.store.triple_store import IdTriple, TripleStore
 
 IndexedTriple = Tuple[int, str, int]  # data-graph node indices + label
+Columns = Tuple[np.ndarray, np.ndarray]  # sorted (s, o) node indices
+
+#: graph -> its node names in index order, for ``to_store()`` without a
+#: store.  Node index spaces only grow, so a length check keeps an
+#: entry valid.
+_NODE_DICTIONARIES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _node_dictionary(data: Graph) -> TermDictionary:
+    nodes = _NODE_DICTIONARIES.get(data)
+    if nodes is None or len(nodes) != data.n_nodes:
+        nodes = TermDictionary.from_terms(data.nodes())
+        _NODE_DICTIONARIES[data] = nodes
+    return nodes
 
 
 @dataclass
 class PruneResult:
-    """Triples retained by dual simulation pruning."""
+    """Triples retained by dual simulation pruning, per label."""
 
     data: Graph
-    triples: Set[IndexedTriple]
+    columns: Dict[str, Columns]
     n_triples_before: int
     elapsed: float
 
     @property
     def n_triples_after(self) -> int:
-        return len(self.triples)
+        return sum(s.size for s, _ in self.columns.values())
 
     @property
     def pruned_fraction(self) -> float:
@@ -41,6 +65,14 @@ class PruneResult:
         if self.n_triples_before == 0:
             return 0.0
         return 1.0 - self.n_triples_after / self.n_triples_before
+
+    @property
+    def triples(self) -> Set[IndexedTriple]:
+        return {
+            (s, label, o)
+            for label, (subjects, objects) in self.columns.items()
+            for s, o in zip(subjects.tolist(), objects.tolist())
+        }
 
     def name_triples(self) -> List[Tuple]:
         data = self.data
@@ -55,8 +87,35 @@ class PruneResult:
             db.add_triple(s, p, o)
         return db
 
-    def to_store(self) -> TripleStore:
-        return TripleStore.from_triples(self.name_triples())
+    def to_store(self, store: Optional[TripleStore] = None) -> TripleStore:
+        """The retained triples as a join-engine store.
+
+        ``store`` is the full store over :attr:`data`; its node ids
+        must be the graph's node indices.  The pruned store shares its
+        dictionaries.  Without one, dictionaries of the graph's nodes
+        in index order and of the retained labels stand in.
+        """
+        if store is None:
+            store = TripleStore()
+            store.nodes = _node_dictionary(self.data)
+            store.predicates = TermDictionary.from_terms(
+                sorted(self.columns)
+            )
+        return store.subset(self._id_triples(store.predicates))
+
+    def _id_triples(self, predicates: TermDictionary) -> Iterator[IdTriple]:
+        """The retained triples in (predicate id, s, o) order."""
+        by_id = sorted(
+            (predicates.require(label), label) for label in self.columns
+        )
+        return chain.from_iterable(
+            zip(
+                self.columns[label][0].tolist(),
+                repeat(p),
+                self.columns[label][1].tolist(),
+            )
+            for p, label in by_id
+        )
 
 
 def retained_triples(result: SolverResult) -> Set[IndexedTriple]:
@@ -97,24 +156,35 @@ def prune(
     start = time.perf_counter()
     if isinstance(results, SolverResult):
         results = [results]
-    kept: Set[IndexedTriple] = set()
+    matrices = data.matrices()
+    masks: Dict[str, np.ndarray] = {}
+    label_edges: Dict[str, Columns] = {}
     for result in results:
         if result.data is not data:
             raise ValueError("solver result belongs to a different data graph")
-        kept |= retained_triples(result)
+        for edge in result.soi.edges:
+            pair = matrices.get(edge.label)
+            if pair is None:
+                continue
+            source_row = result.row(edge.source)
+            target_row = result.row(edge.target)
+            if source_row.is_empty() or target_row.is_empty():
+                continue
+            mask = pair.edge_mask(source_row, target_row)
+            if edge.label in masks:
+                masks[edge.label] |= mask
+            else:
+                masks[edge.label] = mask
+                label_edges[edge.label] = pair.edge_columns()
+    columns: Dict[str, Columns] = {}
+    for label, mask in masks.items():
+        if mask.any():
+            subjects, objects = label_edges[label]
+            columns[label] = (subjects[mask], objects[mask])
     elapsed = time.perf_counter() - start
     return PruneResult(
         data=data,
-        triples=kept,
+        columns=columns,
         n_triples_before=data.n_edges,
         elapsed=elapsed,
     )
-
-
-def required_triples_of_compiled(
-    compiled: CompiledQuery, result: SolverResult
-) -> Set[IndexedTriple]:
-    """Alias of :func:`retained_triples` scoped to one compiled query
-    (kept for API symmetry with the pipeline)."""
-    del compiled
-    return retained_triples(result)

@@ -28,7 +28,7 @@ from repro.core.checkpoint import (
 from repro.core.compiler import CompiledQuery, compile_query
 from repro.core.pruning import PruneResult, prune
 from repro.core.solver import SolverOptions, SolverResult, solve
-from repro.errors import DeadlineExceededError
+from repro.errors import DeadlineExceededError, StoreError
 from repro.graph.database import GraphDatabase
 from repro.obs.trace import current_tracer
 from repro.sparql.ast import SelectQuery
@@ -206,6 +206,14 @@ class PruningPipeline:
         self.profile = profile
         self.solver_options = solver_options or SolverOptions()
         self.store = backend.triple_store()
+        # Pruned stores are built from the solver's node indices and
+        # read through this store's dictionaries: one id space.
+        if len(self.store.nodes) != self.db.n_nodes:
+            raise StoreError(
+                f"join store has {len(self.store.nodes)} node ids but "
+                f"the graph has {self.db.n_nodes} nodes; a backend's "
+                "store must use the graph's node indices"
+            )
         self.engine = QueryEngine(self.store, profile)
         # The paper's tool keeps the adjacency matrices in memory as
         # part of the database (Sect. 3.3); build them at load time so
@@ -338,7 +346,7 @@ class PruningPipeline:
         with tracer.span("extract") as span:
             prune_result = prune(self.db, results)
             t_simulation = t_prior + time.perf_counter() - start
-            pruned_store = prune_result.to_store()
+            pruned_store = prune_result.to_store(self.store)
             span.set_attribute(
                 "triples_after", prune_result.n_triples_after
             )

@@ -13,6 +13,7 @@ from typing import Dict, Hashable, Iterable, Iterator, Optional, Set, Tuple
 
 from repro.errors import StoreError
 from repro.graph.database import GraphDatabase, Literal
+from repro.graph.graph import Graph
 from repro.rdf.dictionary import TermDictionary
 
 IdTriple = Tuple[int, int, int]
@@ -47,14 +48,21 @@ class TripleStore:
         return self._add_ids(s, p, o)
 
     def _add_ids(self, s: int, p: int, o: int) -> bool:
-        by_subject = self._pso.setdefault(p, {})
-        objects = by_subject.setdefault(s, set())
-        if o in objects:
-            return False
-        objects.add(o)
-        self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
-        self._size += 1
-        return True
+        return self._add_all(((s, p, o),)) == 1
+
+    def _add_all(self, id_triples: Iterable[IdTriple]) -> int:
+        """Insert id triples; returns how many were new."""
+        pso, pos = self._pso, self._pos
+        added = 0
+        for s, p, o in id_triples:
+            objects = pso.setdefault(p, {}).setdefault(s, set())
+            if o in objects:
+                continue
+            objects.add(o)
+            pos.setdefault(p, {}).setdefault(o, set()).add(s)
+            added += 1
+        self._size += added
+        return added
 
     @classmethod
     def from_triples(cls, triples: Iterable[NameTriple]) -> "TripleStore":
@@ -65,7 +73,25 @@ class TripleStore:
 
     @classmethod
     def from_graph_database(cls, db: GraphDatabase) -> "TripleStore":
-        return cls.from_triples(db.triples())
+        """A store over ``db`` in ``db``'s own id space.
+
+        Node ids are ``db``'s node indices and predicate ids follow
+        the sorted label order, as in a snapshot, so the solver's rows
+        and this store's ids index the same nodes.
+        """
+        store = cls()
+        store.nodes = TermDictionary.from_terms(db.nodes())
+        store.predicates = TermDictionary.from_terms(sorted(db.labels))
+        if isinstance(db, Graph):
+            edges = db.indexed_edges()
+        else:  # a graph-like view, e.g. a TieredGraphView
+            node_id = store.nodes.lookup
+            edges = (
+                (node_id(s), p, node_id(o)) for s, p, o in db.triples()
+            )
+        predicate_id = store.predicates.lookup
+        store._add_all((s, predicate_id(p), o) for s, p, o in edges)
+        return store
 
     @classmethod
     def from_snapshot(cls, source) -> "TripleStore":
@@ -108,7 +134,11 @@ class TripleStore:
         return store
 
     def to_graph_database(self) -> GraphDatabase:
+        """The graph of this store; its node indices are this store's
+        node ids."""
         db = GraphDatabase()
+        for name in self.nodes.terms():
+            db.add_node(name)
         for s, p, o in self.triples():
             db.add_triple(s, p, o)
         return db
@@ -226,18 +256,16 @@ class TripleStore:
         return self.match_ids(None, None, None)
 
     def subset(self, id_triples: Iterable[IdTriple]) -> "TripleStore":
-        """A new store with the given triples of this store.
+        """A new store with the given id triples of this store.
 
-        The new store has its own (dense) dictionaries but the same
-        term names, so queries behave identically.
+        The new store shares this store's ``nodes`` and ``predicates``
+        dictionaries, so an id means the same term in both; treat it
+        as read-only.
         """
         out = TripleStore()
-        for s, p, o in id_triples:
-            out.add(
-                self.nodes.decode(s),
-                self.predicates.decode(p),
-                self.nodes.decode(o),
-            )
+        out.nodes = self.nodes
+        out.predicates = self.predicates
+        out._add_all(id_triples)
         return out
 
     def __repr__(self) -> str:

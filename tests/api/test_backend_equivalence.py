@@ -372,3 +372,40 @@ class TestOverlayColumn:
         self._assert_column(
             lubm_overlay_sessions, LUBM_QUERIES[name], mode
         )
+
+
+class TestOneIdSpace:
+    """Every backend's join store numbers nodes as its graph does, so
+    the pruned store can be built from the solver's node indices."""
+
+    @pytest.fixture(scope="class")
+    def lubm(self):
+        return generate_lubm(n_universities=1, seed=7, spiral_length=8)
+
+    def _session(self, kind, db, tmp):
+        if kind == "memory":
+            return Database.in_memory(db)
+        path = tmp / f"{kind}.snap"
+        shards = 2 if kind == "sharded" else 0
+        SnapshotWriter(path, cold_threshold=1e9, shards=shards).write(db)
+        if kind != "overlay":
+            return Database.open(path, cached=False)
+        session = Database.edit(path)
+        session.backend.triple_store()  # the delta's nodes are pushed in
+        s, p, _ = sorted(db.triples(), key=repr)[0]
+        session.add([("aligned-new-node", p, s), (s, p, "aligned-new-leaf")])
+        return session
+
+    @pytest.mark.parametrize(
+        "kind", ("memory", "snapshot", "sharded", "overlay")
+    )
+    def test_store_ids_are_graph_indices(self, lubm, tmp_path, kind):
+        session = self._session(kind, lubm, tmp_path)
+        try:
+            graph = session.backend.graph
+            store = session.backend.triple_store()
+            assert len(store.nodes) == graph.n_nodes
+            for i in range(graph.n_nodes):
+                assert store.nodes.decode(i) == graph.node_name(i), i
+        finally:
+            session.close()

@@ -1,7 +1,13 @@
 """Unit tests for the indexed triple store."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.errors import StoreError
 from repro.graph import Literal
 from repro.store import TripleStore
@@ -117,3 +123,35 @@ class TestSubset:
 
     def test_repr(self, store):
         assert "triples=5" in repr(store)
+
+
+class TestIdOrder:
+    def test_ids_follow_the_graph(self, store):
+        db = store.to_graph_database()
+        assert list(db.nodes()) == list(store.nodes.terms())
+        again = TripleStore.from_graph_database(db)
+        assert list(again.nodes.terms()) == list(db.nodes())
+        assert list(again.predicates.terms()) == sorted(db.labels)
+
+    def test_ids_do_not_depend_on_the_hash_seed(self):
+        """Node and predicate ids come from the graph's insertion order
+        and the sorted labels, not from set iteration order."""
+        script = (
+            "from repro.store import TripleStore\n"
+            "from repro.workloads import generate_lubm\n"
+            "db = generate_lubm(n_universities=1, seed=7, "
+            "spiral_length=8)\n"
+            "store = TripleStore.from_graph_database(db)\n"
+            "print(repr(list(store.nodes.terms())))\n"
+            "print(repr(list(store.predicates.terms())))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        orders = []
+        for seed in ("0", "7"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env,
+                capture_output=True, text=True, check=True,
+            )
+            orders.append(run.stdout)
+        assert orders[0] == orders[1]

@@ -4,12 +4,11 @@ Public surface:
 
 * :class:`Bitset` — fixed-width mutable bitsets over uint64 words,
   with cached popcounts.
-* :class:`AdjacencyMatrix` — one direction of a label's adjacency;
-  non-empty rows packed into one contiguous ``(n_rows, n_words)``
-  ``uint64`` block for vectorized products.
+* :class:`AdjacencyMatrix` — one direction of a label's adjacency in
+  sorted CSR form; a dense row block is derived on request.
 * :class:`LabelMatrixPair` — forward+backward matrices of one label.
 * :func:`build_label_matrices` — construct all label matrices at once.
-* :class:`BatchedBlockSet` — all matrices' packed rows concatenated
+* :class:`BatchedBlockSet` — all matrices' dense rows concatenated
   into one block with per-label offsets (the ``batched`` kernel's
   whole-round product substrate).
 * :func:`active_kernel` / :func:`set_kernel` / :func:`use_kernel` —

@@ -116,19 +116,18 @@ class Bitset:
             raise ValueError("nbits must be non-negative")
         if idx.min() < 0 or idx.max() >= nbits:
             raise IndexError(f"index out of range for {nbits}-bit set")
-        if idx.size * 16 < nbits:
-            # Sparse: per-element scatter, O(len(idx)) — avoids the
-            # O(nbits) mask pass below on the solver's hot path.
-            out = cls(nbits)
-            np.bitwise_or.at(
-                out.words,
-                idx // _WORD_BITS,
-                np.uint64(1) << (idx % _WORD_BITS).astype(np.uint64),
-            )
-            out._count = -1
-            return out
-        # Dense-ish: scatter into a byte mask and pack — faster than
-        # the per-element ufunc.at scatter for everything but tiny sets.
+        return cls._scatter(nbits, idx)
+
+    @classmethod
+    def _scatter(cls, nbits: int, idx: np.ndarray) -> "Bitset":
+        """The set of int64 ``idx``, assumed in range (kernel-internal).
+
+        Scatters into a byte mask and packs it: O(nbits), but only a
+        few NumPy calls.  At the benchmark graphs' widths (up to 26 k
+        bits) that beats a per-element ``ufunc.at`` scatter for any
+        member count; ``ufunc.at`` wins only on wider, sparse sets
+        (from about 2**16 bits with a handful of members).
+        """
         mask = np.zeros(_word_count(nbits) * _WORD_BITS, dtype=np.uint8)
         mask[idx] = 1
         return cls._wrap(
@@ -167,6 +166,16 @@ class Bitset:
         )
         self._count = -1
         self._ones = None
+
+    def bits_at(self, indices: np.ndarray) -> np.ndarray:
+        """This set's bit at each of the int64 ``indices`` (all in
+        range), as a boolean array.
+
+        Unpacks the words to one byte per bit and gathers.
+        """
+        return np.unpackbits(
+            self.words.view(np.uint8), bitorder=_UINT8_BITORDER
+        )[indices].view(bool)
 
     def __contains__(self, index: int) -> bool:
         if not 0 <= index < self.nbits:
@@ -312,24 +321,17 @@ class Bitset:
     def iter_ones(self) -> np.ndarray:
         """Indices of set bits, ascending, as a read-only int64 array.
 
-        Sparse-aware: only non-zero words are unpacked, so near-empty
-        vectors over huge domains pay O(n/64) for the word scan plus
-        O(64 * nonzero_words) — not O(n) — per call.  The result is
-        cached until the next mutation (the kernel multiplies the same
-        source vector against many matrices between updates) and is
-        therefore marked non-writeable; copy before mutating.
+        Unpacks the words to one byte per bit and scans that as
+        booleans: O(n), in two NumPy calls.  The result is cached
+        until the next mutation (the kernel multiplies the same source
+        vector against many matrices between updates) and is therefore
+        marked non-writeable; copy before mutating.
         """
         if self._ones is not None:
             return self._ones
-        nonzero = np.flatnonzero(self.words)
-        if nonzero.size == 0:
-            ones = np.empty(0, dtype=np.int64)
-        else:
-            bits = np.unpackbits(
-                self.words[nonzero].view(np.uint8), bitorder=_UINT8_BITORDER
-            ).reshape(nonzero.size, _WORD_BITS)
-            word_idx, bit_idx = np.nonzero(bits)
-            ones = nonzero[word_idx] * _WORD_BITS + bit_idx
+        ones = np.unpackbits(
+            self.words.view(np.uint8), bitorder=_UINT8_BITORDER
+        ).view(bool).nonzero()[0]
         ones.setflags(write=False)
         self._ones = ones
         self._count = ones.size

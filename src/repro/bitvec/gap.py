@@ -16,11 +16,12 @@ bits".  This module provides that storage layer:
   quantity behind the paper's 35 GB / 23 GB discussion.
 
 Gap encoding is the cold-storage format; the solver's hot path runs
-on the packed row blocks of :class:`~repro.bitvec.matrix.AdjacencyMatrix`
+on the CSR lists of :class:`~repro.bitvec.matrix.AdjacencyMatrix`
 (see :mod:`repro.bitvec.kernel`).  The import path between the two is
 :meth:`GapEncodedMatrix.from_adjacency` (compress a built matrix) and
 :meth:`GapEncodedMatrix.to_adjacency` (decompress all rows and pack
-them into one contiguous block, ready for the vectorized products).
+them into one contiguous block, from which the first product derives
+the CSR).
 """
 
 from __future__ import annotations

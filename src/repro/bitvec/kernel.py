@@ -3,20 +3,21 @@
 Three implementations of the Eq. (9) bit-vector x bit-matrix products
 coexist:
 
-* ``"packed"`` (default) — every :class:`~repro.bitvec.matrix.AdjacencyMatrix`
-  lays its non-empty rows out as one contiguous ``(n_rows, n_words)``
-  ``uint64`` array; products are single NumPy reductions over the
-  selected row block (``np.bitwise_or.reduce`` row-wise, a masked
-  any-intersection test column-wise) — one kernel call per
-  (label, direction) inequality.
-* ``"batched"`` — the packed layout taken one level up: every
-  (label, direction) matrix contributes its packed rows to one
-  concatenated :class:`BatchedBlockSet` block with per-label offsets,
-  and the SOI solver evaluates *a whole round of inequalities* as one
-  gather plus one segmented reduce (see :mod:`repro.core.batched`),
-  amortizing the per-call NumPy dispatch overhead that dominates
-  small queries.  Individual products (pruning, reconstruction, the
-  dynamic ordering) fall back to the packed implementation.
+* ``"packed"`` (default) — products over each
+  :class:`~repro.bitvec.matrix.AdjacencyMatrix`'s sorted CSR lists:
+  row-wise, gather the successor lists of the source's set bits and
+  scatter them into the result; column-wise, gather each masked
+  candidate's list in the dual matrix and keep the candidates with a
+  hit — a handful of NumPy calls per (label, direction) inequality,
+  no |V|-bit row touched.
+* ``"batched"`` — every (label, direction) matrix contributes its
+  dense rows (derived from the CSR on first use) to one concatenated
+  :class:`BatchedBlockSet` block with per-label offsets, and the SOI
+  solver evaluates *a whole round of inequalities* as one gather plus
+  one segmented reduce (see :mod:`repro.core.batched`), amortizing
+  the per-call NumPy dispatch overhead that dominates small queries.
+  Individual products (pruning, reconstruction, the dynamic ordering)
+  fall back to the packed implementation.
 * ``"reference"`` — the seed implementation: one Python-level
   :class:`~repro.bitvec.bitset.Bitset` per row, products as Python
   loops.  Kept verbatim so ablation benches can quantify the
@@ -32,8 +33,8 @@ CLI flag and warns once when set.  The kernel can be changed at
 runtime with
 :func:`set_kernel` or the :func:`use_kernel` context manager.  The
 switch is consulted on every product call, so matrices built under
-one kernel answer correctly under the other — the packed layout is an
-*additional* index, not a replacement for the row dict.
+one kernel answer correctly under the other — each matrix derives
+whichever layout (CSR lists or dense rows) the active kernel reads.
 """
 
 from __future__ import annotations

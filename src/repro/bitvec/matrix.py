@@ -1,23 +1,27 @@
-"""Per-label adjacency bit-matrices (Sect. 3.2 of the paper).
+"""Per-label adjacency matrices (Sect. 3.2 of the paper).
 
 For every edge label ``a`` the paper stores two adjacency matrices
-``F_a`` (forward) and ``B_a`` (backward).  Dense |V|x|V| bit matrices
-are wasteful for sparse graphs, so rows are materialized only for
-nodes that actually have ``a``-labeled edges; absent rows are
-all-zero.  This mirrors the gap-encoded storage the paper's prototype
-uses.
+``F_a`` (forward) and ``B_a`` (backward) and keeps them sparse.  Each
+direction here is held in sorted CSR form over its non-empty rows:
 
-Two physical layouts back the same logical matrix:
+* ``_row_nodes`` — the nodes owning a non-empty row, ascending; they
+  are the set bits of the summary vector (Eq. (13));
+* ``_indptr`` / ``_indices`` — the successors of ``_row_nodes[p]`` are
+  ``_indices[_indptr[p]:_indptr[p + 1]]``, ascending.
 
-* a dict from node index to a :class:`Bitset` row — always present,
-  cheap to build incrementally, and the layout the ``"reference"``
-  kernel loops over;
-* a **packed block** built by :meth:`AdjacencyMatrix.pack`: all
-  non-empty rows stacked into one contiguous ``(n_rows, n_words)``
-  ``uint64`` array plus an int index mapping node -> packed row.
-  After packing, the dict rows are rebound to *views* into the block,
-  so the two layouts share memory.  The summary vector (Eq. (13))
-  falls out of the build as the bitset of indexed nodes.
+The forward CSR *is* the label's sorted ``(s, o)`` edge columns:
+``o = _indices`` and ``s = repeat(_row_nodes, diff(_indptr))``, the
+latter cached beside the CSR on first request and dropped with it.
+
+A dense layout is derived on request and then cached: a dict from
+node index to a :class:`Bitset` row, the rows being views into one
+contiguous ``(n_rows, n_words)`` ``uint64`` block
+(:meth:`AdjacencyMatrix.pack`).  The ``"reference"`` and ``"batched"``
+kernels, the snapshot writer, the gap encoder, overlay rebuilds and
+the retained-triples specification read it.  Matrices that arrive
+dense — snapshot blocks, gap decoding, edge-by-edge construction
+through :meth:`AdjacencyMatrix.add` — derive their CSR from the block
+on their first product.
 
 The core operation is the bit-vector x bit-matrix product (Eq. (9)):
 
@@ -26,23 +30,24 @@ The core operation is the bit-vector x bit-matrix product (Eq. (9)):
 
 Two evaluation strategies are provided, matching Sect. 3.3:
 
-* *row-wise*  — OR together the rows selected by set bits of ``chi``;
-  cost is proportional to ``popcount(chi)``.
-* *column-wise* — restricted to a target mask, test for each masked
-  column ``j`` whether the *transposed* row (i.e. the row of the dual
-  matrix) intersects ``chi``; cost is proportional to
-  ``popcount(mask)``.
+* *row-wise* — gather the successor lists of the set bits of ``chi``
+  and scatter them into a fresh vector; cost is proportional to
+  ``popcount(chi)`` and those rows' degrees.
+* *column-wise* — restricted to a target mask, gather each masked
+  candidate's list in the *dual* matrix (column ``j`` of ``F_a`` is
+  row ``j`` of ``B_a``) and keep the candidates with at least one
+  member of ``chi``; cost is proportional to ``popcount(mask)`` and
+  those rows' degrees.
 
 Both return identical results; the solver picks per evaluation.  On
-the ``"packed"`` kernel (see :mod:`repro.bitvec.kernel`) the row-wise
-product is a single ``np.bitwise_or.reduce`` over the selected row
-block and the column-wise product is one vectorized masked
-any-intersection test ``(block & vec.words).any(axis=1)`` — no
-Python-level per-row/per-column loop, no allocation per set bit.
+the ``"packed"`` kernel (see :mod:`repro.bitvec.kernel`) both are a
+handful of NumPy calls over the CSR arrays — no Python-level loop per
+row or column and no |V|-bit row touched.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Iterable, Tuple
 
 import numpy as np
@@ -51,80 +56,209 @@ from repro.bitvec.bitset import Bitset, _WORD_BITS, _word_count
 from repro.bitvec.kernel import REFERENCE, active_kernel
 from repro.errors import DimensionMismatchError
 
-#: Packed words per chunk when deriving edge columns (512 KB of block,
-#: at most 4 MB unpacked).
+#: Packed words per chunk when deriving the CSR from a dense block
+#: (512 KB of block, at most 4 MB unpacked).
 _COLUMN_CHUNK_WORDS = 1 << 16
 
 
-def _members(vec: Bitset, indices: np.ndarray) -> np.ndarray:
-    """``vec``'s bit at each of ``indices``, as a boolean array."""
-    words = vec.words[indices // _WORD_BITS]
-    shifts = (indices % _WORD_BITS).astype(np.uint64)
-    return ((words >> shifts) & np.uint64(1)).astype(bool)
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def _check_range(n: int, *columns: np.ndarray) -> None:
+    for column in columns:
+        if column.size and (column.min() < 0 or column.max() >= n):
+            raise IndexError(f"node index out of range for {n} nodes")
+
+
+def _gather(
+    indptr: np.ndarray, indices: np.ndarray, positions: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The CSR lists of rows ``positions``, concatenated, and each
+    list's length."""
+    if positions.size == indptr.size - 1:  # every row: no gather
+        return indices, indptr[1:] - indptr[:-1]
+    starts = indptr[positions]
+    lengths = indptr[positions + 1] - starts
+    if positions.size == 1:
+        start = int(starts[0])
+        return indices[start:start + int(lengths[0])], lengths
+    ends = np.cumsum(lengths)
+    flat = np.repeat(starts - ends + lengths, lengths)
+    flat += np.arange(flat.size)
+    return indices[flat], lengths
+
+
+def _block_columns(block: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every set bit of a packed block as ``(row position, column)``
+    int64 columns, sorted.
+
+    Works a chunk of rows at a time and unpacks only the non-zero
+    words, so no temporary grows past a few megabytes however dense
+    the block is.
+    """
+    if block.shape[0] == 0 or block.shape[1] == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    step = max(1, _COLUMN_CHUNK_WORDS // block.shape[1])
+    positions, columns = [], []
+    for start in range(0, block.shape[0], step):
+        chunk = block[start:start + step]
+        rows, words = np.nonzero(chunk)
+        bits = np.unpackbits(
+            np.ascontiguousarray(chunk[rows, words]).view(np.uint8),
+            bitorder="little",
+        ).reshape(rows.size, _WORD_BITS)
+        hit, bit = np.nonzero(bits)
+        positions.append(start + rows[hit])
+        columns.append(words[hit] * _WORD_BITS + bit)
+    return (
+        np.concatenate(positions).astype(np.int64, copy=False),
+        np.concatenate(columns).astype(np.int64, copy=False),
+    )
+
+
+def _block_from_csr(
+    n: int, indptr: np.ndarray, indices: np.ndarray
+) -> np.ndarray:
+    """The packed ``(n_rows, n_words)`` block of a CSR matrix."""
+    n_words = _word_count(n)
+    block = np.zeros((indptr.size - 1, n_words), dtype=np.uint64)
+    if indices.size:
+        positions = np.repeat(
+            np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr)
+        )
+        # Ascending (row, column) pairs give ascending word keys, so
+        # each distinct word is one contiguous run of bits to OR.
+        keys = positions * n_words + indices // _WORD_BITS
+        bits = np.left_shift(
+            np.uint64(1), (indices % _WORD_BITS).astype(np.uint64)
+        )
+        first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        block.reshape(-1)[keys[first]] = np.bitwise_or.reduceat(bits, first)
+    return block
 
 
 class AdjacencyMatrix:
     """One direction (forward or backward) of a label's adjacency.
 
-    ``rows[i]`` is the bitset of nodes reachable from ``i`` via one
-    edge of this label and direction.  ``summary`` is the paper's
-    ``f_a`` / ``b_a`` vector (Eq. (13)): bit ``i`` is set iff row ``i``
-    is non-empty.
+    Row ``i`` is the set of nodes reachable from ``i`` via one edge of
+    this label and direction.  ``summary`` is the paper's ``f_a`` /
+    ``b_a`` vector (Eq. (13)): bit ``i`` is set iff row ``i`` is
+    non-empty.
     """
 
     __slots__ = (
-        "n", "rows", "summary", "n_edges",
+        "n", "summary", "n_edges", "_rows",
         "_packed", "_row_nodes", "_row_index", "_word_idx", "_bit_shift",
+        "_indptr", "_indices", "_entry_rows",
     )
 
     def __init__(self, n: int):
         self.n = n
-        self.rows: Dict[int, Bitset] = {}
         self.summary = Bitset.zeros(n)
         self.n_edges = 0
+        self._rows: Dict[int, Bitset] | None = {}
         self._packed: np.ndarray | None = None
         self._row_nodes: np.ndarray | None = None
         self._row_index: np.ndarray | None = None
         self._word_idx: np.ndarray | None = None
         self._bit_shift: np.ndarray | None = None
+        self._indptr: np.ndarray | None = None
+        self._indices: np.ndarray | None = None
+        self._entry_rows: np.ndarray | None = None
+
+    @classmethod
+    def from_sorted_columns(
+        cls, n: int, rows: np.ndarray, columns: np.ndarray
+    ) -> "AdjacencyMatrix":
+        """A CSR matrix over int64 edge columns sorted by
+        ``(row, column)`` without repeats; no dense row is built."""
+        _check_range(n, rows, columns)
+        out = cls(n)
+        out._rows = None
+        if rows.size:
+            starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+        else:
+            starts = np.empty(0, dtype=np.int64)
+        out._row_nodes = _frozen(rows[starts])
+        out._indptr = _frozen(np.append(starts, rows.size))
+        out._indices = _frozen(columns)
+        out.summary = Bitset.from_indices(n, out._row_nodes)
+        out.n_edges = int(columns.size)
+        return out
 
     def add(self, src: int, dst: int) -> None:
-        """Record an edge src -> dst (in this direction's orientation)."""
-        row = self.rows.get(src)
+        """Record an edge src -> dst (in this direction's orientation).
+
+        The dense rows become the matrix's canonical form; the packed
+        block and the CSR are re-derived on their next use.
+        """
+        rows = self.rows
+        row = rows.get(src)
         if row is None:
             row = Bitset.zeros(self.n)
-            self.rows[src] = row
+            rows[src] = row
             self.summary.add(src)
         if dst not in row:
             row.add(dst)
             self.n_edges += 1
-            self._packed = None  # packed block is stale
+            self._packed = self._row_nodes = self._row_index = None
+            self._word_idx = self._bit_shift = None
+            self._indptr = self._indices = self._entry_rows = None
 
-    # -- packed layout -------------------------------------------------
+    # -- derived layouts -------------------------------------------------
 
     @property
     def is_packed(self) -> bool:
         return self._packed is not None
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of every array this matrix caches (both layouts)."""
+        arrays = (
+            self._packed, self._row_nodes, self._row_index,
+            self._word_idx, self._bit_shift, self._indptr, self._indices,
+            self._entry_rows,
+        )
+        return sum(a.nbytes for a in arrays if a is not None)
+
+    @property
+    def rows(self) -> Dict[int, Bitset]:
+        """Node -> dense row; derived from the CSR on first use."""
+        if self._rows is None:
+            self.pack()
+        return self._rows
+
     def pack(self) -> None:
         """Build the contiguous row block and the node -> row index.
 
-        Idempotent; called once per matrix from ``Graph.matrices()``
-        and lazily from the products.  The dict rows are rebound to
-        views into the block so both layouts share the same words.
+        Idempotent.  A CSR matrix derives the block (and its dense
+        rows) from its lists; a dense matrix stacks its row dict and
+        rebinds the rows to views into the block so both layouts
+        share the same words.
         """
         if self._packed is not None:
             return
-        n_words = _word_count(self.n)
-        nodes = np.fromiter(sorted(self.rows), dtype=np.int64,
-                            count=len(self.rows))
-        packed = np.empty((nodes.size, n_words), dtype=np.uint64)
-        for position, node in enumerate(nodes.tolist()):
-            packed[position] = self.rows[node].words
-            self.rows[node] = Bitset(self.n, packed[position])
-        row_index = np.full(self.n, -1, dtype=np.int64)
+        n = self.n
+        if self._rows is None:
+            nodes = self._row_nodes
+            packed = _block_from_csr(n, self._indptr, self._indices)
+            self._rows = {
+                node: Bitset._wrap(n, packed[position])
+                for position, node in enumerate(nodes.tolist())
+            }
+        else:
+            nodes = np.fromiter(sorted(self._rows), dtype=np.int64,
+                                count=len(self._rows))
+            packed = np.empty((nodes.size, _word_count(n)), dtype=np.uint64)
+            for position, node in enumerate(nodes.tolist()):
+                packed[position] = self._rows[node].words
+                self._rows[node] = Bitset(n, packed[position])
+            self._row_nodes = nodes
+        row_index = np.full(n, -1, dtype=np.int64)
         row_index[nodes] = np.arange(nodes.size, dtype=np.int64)
-        self._row_nodes = nodes
         self._row_index = row_index
         # Per packed row: which word of a vector holds its node's bit
         # and how far to shift it down — the dense-vector row test.
@@ -132,63 +266,80 @@ class AdjacencyMatrix:
         self._bit_shift = (nodes % _WORD_BITS).astype(np.uint64)
         self._packed = packed
 
-    def _selected_block(self, vec: Bitset) -> np.ndarray:
-        """Packed rows whose node's bit is set in ``vec``.
+    def _csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(row nodes, indptr, indices)``, derived from the packed
+        block on first use when the matrix arrived dense."""
+        if self._indptr is None:
+            self.pack()
+            positions, columns = _block_columns(self._packed)
+            _check_range(self.n, columns)
+            indptr = np.zeros(self._row_nodes.size + 1, dtype=np.int64)
+            np.cumsum(
+                np.bincount(positions, minlength=self._row_nodes.size),
+                out=indptr[1:],
+            )
+            # ``_indptr`` is the "built" flag, so it is published last.
+            self._indices = _frozen(columns)
+            self._indptr = _frozen(indptr)
+        return self._row_nodes, self._indptr, self._indices
 
-        Sparse vectors go through their cached set-bit list (one
-        gather + one filter, O(popcount)); dense vectors test each
-        indexed node's bit directly (O(n_rows)) — whichever side is
-        smaller decides.
+    def _positions(self, vec: Bitset) -> np.ndarray:
+        """CSR positions of the rows whose node is set in ``vec``.
+
+        Sparse vectors look their set bits up in the row nodes
+        (O(popcount log n_rows)); others test each row node's bit
+        (O(n_rows)).  A binary search costs some 16 gathers, which
+        sets the crossover.
         """
-        if vec.count() < self._row_nodes.size:
-            positions = self._row_index[vec.iter_ones()]
-            return self._packed[positions[positions >= 0]]
-        selected = (vec.words[self._word_idx] >> self._bit_shift) & np.uint64(1)
-        return self._packed[selected != 0]
+        nodes = self._row_nodes
+        if vec.count() * 16 < nodes.size:
+            ones = vec.iter_ones()
+            positions = np.searchsorted(nodes, ones)
+            np.minimum(positions, nodes.size - 1, out=positions)
+            return positions[nodes[positions] == ones]
+        return vec.bits_at(nodes).nonzero()[0]
 
     # -- logical accessors ---------------------------------------------
 
     def edge_columns(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Every set bit as ``(row node, column)`` int64 columns,
-        sorted by row node, then column.
+        """Every entry as ``(row node, column)`` int64 columns, sorted
+        by row node, then column.  The row-node column is built once
+        and cached with the CSR."""
+        nodes, indptr, indices = self._csr()
+        if self._entry_rows is None:
+            self._entry_rows = _frozen(np.repeat(nodes, np.diff(indptr)))
+        return self._entry_rows, indices
 
-        Works through the packed block a chunk of rows at a time and
-        unpacks only its non-zero words, so no temporary grows past a
-        few megabytes however dense the label is.
-        """
-        self.pack()
-        block, nodes = self._packed, self._row_nodes
-        if nodes.size == 0 or block.shape[1] == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        step = max(1, _COLUMN_CHUNK_WORDS // block.shape[1])
-        sources, targets = [], []
-        for start in range(0, nodes.size, step):
-            chunk = block[start:start + step]
-            rows, words = np.nonzero(chunk)
-            bits = np.unpackbits(
-                np.ascontiguousarray(chunk[rows, words]).view(np.uint8),
-                bitorder="little",
-            ).reshape(rows.size, _WORD_BITS)
-            hit, bit = np.nonzero(bits)
-            sources.append(nodes[start + rows[hit]])
-            targets.append(words[hit] * _WORD_BITS + bit)
-        return (
-            np.concatenate(sources).astype(np.int64, copy=False),
-            np.concatenate(targets).astype(np.int64, copy=False),
-        )
+    def _successors(self, i: int) -> np.ndarray | None:
+        """Row ``i``'s CSR list, or None when the row is empty."""
+        nodes, indptr, indices = self._csr()
+        position = int(nodes.searchsorted(i))
+        if position == nodes.size or nodes[position] != i:
+            return None
+        return indices[indptr[position]:indptr[position + 1]]
 
     def row(self, i: int) -> Bitset | None:
         """The row of node ``i`` or None when it is all-zero."""
-        return self.rows.get(i)
+        if self._rows is not None:
+            return self._rows.get(i)
+        successors = self._successors(i)
+        if successors is None:
+            return None
+        return Bitset._scatter(self.n, successors)
 
     def successors(self, i: int) -> Iterable[int]:
-        row = self.rows.get(i)
+        row = self.row(i)
         return iter(row) if row is not None else iter(())
 
     def has_edge(self, src: int, dst: int) -> bool:
-        row = self.rows.get(src)
-        return row is not None and dst in row
+        if self._rows is not None:
+            row = self._rows.get(src)
+            return row is not None and dst in row
+        successors = self._successors(src)
+        if successors is None:
+            return False
+        position = int(successors.searchsorted(dst))
+        return position < successors.size and successors[position] == dst
 
     def density(self) -> float:
         """Fraction of set bits; the sparsity signal for heuristics."""
@@ -199,26 +350,50 @@ class AdjacencyMatrix:
     # -- products ------------------------------------------------------
 
     def product_rowwise(self, vec: Bitset) -> Bitset:
-        """``vec x_b A`` by OR-ing the rows selected by ``vec``."""
+        """``vec x_b A``: the union of the rows selected by ``vec``."""
         if vec.nbits != self.n:
             raise DimensionMismatchError(
                 f"vector width {vec.nbits} != matrix size {self.n}"
             )
         if active_kernel() != REFERENCE:
             # Both vectorized kernels (packed and batched) share the
-            # per-matrix block product; "batched" only changes how the
-            # solver groups whole rounds (see repro.core.batched).
-            self.pack()
-            block = self._selected_block(vec)
-            if block.shape[0] == 0:
+            # CSR product; "batched" only changes how the solver
+            # groups whole rounds (see repro.core.batched).
+            _, indptr, indices = self._csr()
+            positions = self._positions(vec)
+            if positions.size == 0:
                 return Bitset.zeros(self.n)
-            return Bitset._wrap(self.n, np.bitwise_or.reduce(block, axis=0))
+            targets, _ = _gather(indptr, indices, positions)
+            return Bitset._scatter(self.n, targets)
         out = Bitset.zeros(self.n)
         # Only nodes with a row can contribute; pre-filter via summary.
         if not vec.intersects(self.summary):
             return out
+        rows = self.rows
         for i in (vec & self.summary).iter_ones():
-            out |= self.rows[int(i)]
+            out |= rows[int(i)]
+        return out
+
+    def product_columnwise(self, vec: Bitset, mask: Bitset) -> Bitset:
+        """The members ``j`` of ``mask`` whose row ``j`` here
+        intersects ``vec``.  Called on the dual of ``A``, this is the
+        column-wise ``(vec x_b A) & mask``."""
+        if active_kernel() != REFERENCE:
+            nodes, indptr, indices = self._csr()
+            positions = self._positions(mask)
+            if positions.size == 0:
+                return Bitset.zeros(self.n)
+            lists, lengths = _gather(indptr, indices, positions)
+            # Segment id of every gathered entry -> its candidate row.
+            segments = np.repeat(np.arange(positions.size), lengths)
+            keep = np.zeros(positions.size, dtype=bool)
+            keep[segments[vec.bits_at(lists)]] = True
+            return Bitset._scatter(self.n, nodes[positions[keep]])
+        out = Bitset.zeros(self.n)
+        rows = self.rows
+        for j in (mask & self.summary).iter_ones():
+            if rows[int(j)].intersects(vec):
+                out.add(int(j))
         return out
 
 
@@ -230,32 +405,22 @@ class LabelMatrixPair:
     ``F_a`` is row ``j`` of ``B_a`` and vice versa.
     """
 
-    __slots__ = ("n", "forward", "backward", "_columns")
+    __slots__ = ("n", "forward", "backward")
 
     def __init__(self, n: int):
         self.n = n
         self.forward = AdjacencyMatrix(n)
         self.backward = AdjacencyMatrix(n)
-        self._columns: Tuple[np.ndarray, np.ndarray] | None = None
 
     def add_edge(self, src: int, dst: int) -> None:
         self.forward.add(src, dst)
         self.backward.add(dst, src)
-        self._columns = None
 
     def edge_columns(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The label's edges as sorted ``(s, o)`` int64 columns,
-        derived from the forward block on first use and cached here
-        (so a rebuilt or demoted pair drops them too)."""
-        if self._columns is None:
-            self._columns = self.forward.edge_columns()
-        return self._columns
-
-    def edge_mask(self, source: Bitset, target: Bitset) -> np.ndarray:
-        """Boolean mask over :meth:`edge_columns`: the edges ``(s, o)``
-        with ``s`` in ``source`` and ``o`` in ``target``."""
-        s, o = self.edge_columns()
-        return _members(source, s) & _members(target, o)
+        """The label's edges as sorted ``(s, o)`` int64 columns: the
+        forward CSR's lists, cached with it (so an added edge, a
+        rebuilt pair or a demoted pair drops them too)."""
+        return self.forward.edge_columns()
 
     def pack(self) -> "LabelMatrixPair":
         """Pack both directions (idempotent); returns self."""
@@ -266,6 +431,11 @@ class LabelMatrixPair:
     @property
     def n_edges(self) -> int:
         return self.forward.n_edges
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of every array both directions cache."""
+        return self.forward.nbytes + self.backward.nbytes
 
     def product(
         self,
@@ -307,23 +477,7 @@ class LabelMatrixPair:
             if mask is None:
                 raise ValueError("column-wise product requires a mask")
             # result(j) = 1 iff dual.row(j) intersects vec, for j in mask.
-            if active_kernel() != REFERENCE:
-                dual.pack()
-                candidates = mask.iter_ones()
-                positions = dual._row_index[candidates]
-                with_rows = positions >= 0
-                candidates = candidates[with_rows]
-                if candidates.size == 0:
-                    return Bitset.zeros(self.n)
-                block = dual._packed[positions[with_rows]]
-                hits = np.bitwise_and(block, vec.words).any(axis=1)
-                return Bitset.from_indices(self.n, candidates[hits])
-            out = Bitset.zeros(self.n)
-            candidates = mask & dual.summary
-            for j in candidates.iter_ones():
-                if dual.rows[int(j)].intersects(vec):
-                    out.add(int(j))
-            return out
+            return dual.product_columnwise(vec, mask)
 
         raise ValueError(f"unknown strategy: {strategy!r}")
 
@@ -331,12 +485,45 @@ class LabelMatrixPair:
 def build_label_matrices(
     n: int, edges: Iterable[Tuple[int, str, int]]
 ) -> Dict[str, LabelMatrixPair]:
-    """Build one :class:`LabelMatrixPair` per label from integer triples."""
+    """Build one CSR :class:`LabelMatrixPair` per label from integer
+    triples (repeated triples count once), labels in first-seen order.
+
+    Two sorts over the whole edge set give every label's forward and
+    backward lists at once.
+    """
+    codes: Dict[str, int] = {}
+    flat = np.fromiter(
+        chain.from_iterable(
+            (s, codes.setdefault(label, len(codes)), d)
+            for s, label, d in edges
+        ),
+        dtype=np.int64,
+    ).reshape(-1, 3)
+    order = np.lexsort((flat[:, 2], flat[:, 0], flat[:, 1]))
+    sources, labels, targets = (flat[order, k] for k in range(3))
+    del flat, order  # the sorted columns replace them
+    fresh = np.r_[
+        True,
+        (sources[1:] != sources[:-1])
+        | (targets[1:] != targets[:-1])
+        | (labels[1:] != labels[:-1]),
+    ]
+    if not fresh.all():
+        sources, labels, targets = (
+            sources[fresh], labels[fresh], targets[fresh]
+        )
+    back = np.lexsort((sources, targets, labels))
+    bounds = np.searchsorted(labels, np.arange(len(codes) + 1))
     matrices: Dict[str, LabelMatrixPair] = {}
-    for src, label, dst in edges:
-        pair = matrices.get(label)
-        if pair is None:
-            pair = LabelMatrixPair(n)
-            matrices[label] = pair
-        pair.add_edge(src, dst)
+    for label, code in codes.items():
+        lo, hi = bounds[code], bounds[code + 1]
+        pair = LabelMatrixPair(n)
+        pair.forward = AdjacencyMatrix.from_sorted_columns(
+            n, sources[lo:hi], targets[lo:hi]
+        )
+        backward = back[lo:hi]
+        pair.backward = AdjacencyMatrix.from_sorted_columns(
+            n, targets[backward], sources[backward]
+        )
+        matrices[label] = pair
     return matrices

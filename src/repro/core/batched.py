@@ -373,7 +373,7 @@ def run_batched(
                     positions = positions[positions >= 0]
                 else:
                     # Dense source: test each indexed node's bit
-                    # directly (mirrors AdjacencyMatrix._selected_block).
+                    # directly (the packed block's dense-vector row test).
                     selected = (
                         source_row.words[matrix._word_idx]
                         >> matrix._bit_shift

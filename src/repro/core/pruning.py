@@ -170,12 +170,14 @@ def prune(
             target_row = result.row(edge.target)
             if source_row.is_empty() or target_row.is_empty():
                 continue
-            mask = pair.edge_mask(source_row, target_row)
+            if edge.label not in label_edges:
+                label_edges[edge.label] = pair.edge_columns()
+            subjects, objects = label_edges[edge.label]
+            mask = source_row.bits_at(subjects) & target_row.bits_at(objects)
             if edge.label in masks:
                 masks[edge.label] |= mask
             else:
                 masks[edge.label] = mask
-                label_edges[edge.label] = pair.edge_columns()
     columns: Dict[str, Columns] = {}
     for label, mask in masks.items():
         if mask.any():

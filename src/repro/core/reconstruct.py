@@ -15,6 +15,7 @@ node name) for a compiled union-free BGP query and its solver result.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 from repro.bitvec import Bitset
@@ -88,21 +89,26 @@ def enumerate_matches(
     emitted = 0
     assignment: Dict[int, int] = {}
 
+    @lru_cache(maxsize=None)
+    def partner_row(label: str, direction: str, node: int) -> Bitset:
+        """One adjacency row, built once per enumeration: a sparse
+        matrix materialises a row on every ``row()`` call."""
+        matrix = getattr(matrices[label], direction)
+        row = matrix.row(node)
+        return row if row is not None else Bitset.zeros(matrix.n)
+
     def candidates_for(index: int) -> Bitset:
         """Row of ordered[index], narrowed by edges to assigned vids."""
         vid = ordered[index]
         row = result.row(vid).copy()
         for source, label, target in edges:
-            pair = matrices.get(label)
-            if pair is None:
+            if label not in matrices:
                 row.clear()
                 return row
             if source == vid and target in assignment and target != vid:
-                partner = pair.backward.row(assignment[target])
-                row &= partner if partner is not None else Bitset.zeros(row.nbits)
+                row &= partner_row(label, "backward", assignment[target])
             elif target == vid and source in assignment and source != vid:
-                partner = pair.forward.row(assignment[source])
-                row &= partner if partner is not None else Bitset.zeros(row.nbits)
+                row &= partner_row(label, "forward", assignment[source])
         return row
 
     def satisfied(index: int) -> bool:

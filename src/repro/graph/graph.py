@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Iterator, List, Set, Tuple
 
-from repro.bitvec import Bitset, LabelMatrixPair
+from repro.bitvec import Bitset, LabelMatrixPair, build_label_matrices
 from repro.errors import GraphError
 
 Edge = Tuple[Hashable, str, Hashable]
@@ -161,24 +161,18 @@ class Graph:
     # -- bit-matrix view ------------------------------------------------------
 
     def matrices(self) -> Dict[str, LabelMatrixPair]:
-        """Per-label adjacency bit-matrices, built lazily and cached.
+        """Per-label adjacency matrices in sorted CSR form, built
+        lazily from the edge columns (two sorts over the edge set) and
+        cached.
 
-        Each matrix is packed once here (rows laid out contiguously
-        for the vectorized kernel); further edge insertions invalidate
-        this cache, so handing out packed matrices is safe.
+        No dense row block is built here: the solver's products run on
+        the CSR lists, and a dense block is derived per matrix only
+        when a consumer asks for it (see :mod:`repro.bitvec.matrix`).
+        Further edge insertions invalidate this cache, so handing out
+        the built matrices is safe.
         """
         if self._matrices is None:
-            built: Dict[str, LabelMatrixPair] = {}
-            n = self.n_nodes
-            for s, label, d in self._edges:
-                pair = built.get(label)
-                if pair is None:
-                    pair = LabelMatrixPair(n)
-                    built[label] = pair
-                pair.add_edge(s, d)
-            for pair in built.values():
-                pair.pack()
-            self._matrices = built
+            self._matrices = build_label_matrices(self.n_nodes, self._edges)
         return self._matrices
 
     def label_matrix(self, label: str) -> LabelMatrixPair | None:

@@ -1,4 +1,4 @@
-"""Tiered graph view: hot packed blocks + cold gap blocks, promoted
+"""Tiered graph view: hot dense blocks + cold gap blocks, promoted
 lazily and demoted under a residency budget.
 
 :class:`TieredGraphView` opens a snapshot and satisfies the adjacency
@@ -15,15 +15,17 @@ zero copies, solver-ready.  *Cold* labels (stored gap-encoded) occupy
 only their compressed bytes until a query first asks for them; the
 first ``matrices().get(label)`` **promotes** the label by decoding
 both directions through :meth:`GapEncodedMatrix.to_adjacency` into
-packed blocks, which are then cached like any hot label.  Residency
-counters (:meth:`residency`) expose how much of the database is
-actually materialized — the quantity behind the paper's 35 GB fully
-dense vs 23 GB mixed-residency comparison (Sect. 3.3).
+packed blocks, which are then cached like any hot label.  A resident
+pair also caches the CSR lists its first product derives.  Residency
+counters (:meth:`residency`) count every array a resident pair caches
+and so expose how much of the database is actually materialized —
+the quantity behind the paper's 35 GB fully dense vs 23 GB
+mixed-residency comparison (Sect. 3.3).
 
 Residency is bounded, not just reported.  Every lookup refreshes the
 label's position in a touch-ordered LRU; when
 :attr:`residency_budget` is set, a promotion that pushes resident
-packed bytes over the budget **demotes** the least-recently-touched
+bytes over the budget **demotes** the least-recently-touched
 resident labels (gap labels drop their decoded blocks back to the
 on-disk gap rows, dense labels drop their zero-copy wrappers), and
 :meth:`enforce_budget` runs the same pass at query boundaries and
@@ -111,7 +113,7 @@ class ResidencyReport:
     cold_labels: int         # not resident (on-disk rows only)
     promotions: int          # cold labels decoded so far (re-decodes too)
     promoted_labels: Tuple[str, ...]
-    resident_bytes: int      # packed blocks currently materialized
+    resident_bytes: int      # every array resident pairs cache
     on_disk_bytes: int       # snapshot file size
     demotions: int = 0       # labels dropped by the LRU pass so far
     demoted_labels: Tuple[str, ...] = ()
@@ -178,15 +180,6 @@ class TieredMatrices:
     def items(self) -> Iterator[Tuple[str, LabelMatrixPair]]:
         for label in self._view._labels:
             yield (label, self[label])
-
-
-def _pair_resident_bytes(pair: LabelMatrixPair) -> int:
-    total = 0
-    for matrix in (pair.forward, pair.backward):
-        if matrix._packed is not None:
-            total += matrix._packed.nbytes
-            total += matrix._row_nodes.nbytes + matrix._row_index.nbytes
-    return total
 
 
 class TieredGraphView:
@@ -279,7 +272,9 @@ class TieredGraphView:
         tier = self._tiers[label]
         with tracer.span("promotion", label=label, tier=tier) as span:
             pair = self._materialize_inner(label)
-            span.set_attribute("bytes", _pair_resident_bytes(pair))
+            # The bytes decoded now; the CSR the first product derives
+            # adds to resident_bytes() later.
+            span.set_attribute("bytes", pair.nbytes)
             return pair
 
     def _materialize_inner(self, label: str) -> LabelMatrixPair:
@@ -335,7 +330,7 @@ class TieredGraphView:
                 self._materialize(label)
 
     def demote(self, label: str) -> int:
-        """Drop a resident label's packed blocks; returns bytes freed.
+        """Drop every array a resident label caches; returns bytes freed.
 
         The label's Eq. (13) summaries stay resident, its batched
         segments are invalidated (reclaimed by the next compaction),
@@ -345,7 +340,7 @@ class TieredGraphView:
         pair = self._pairs.pop(label, None)
         if pair is None:
             raise GraphError(f"label not resident: {label!r}")
-        freed = _pair_resident_bytes(pair)
+        freed = pair.nbytes
         self._demoted.append(label)
         registry().counter("demotions_total").inc()
         tracer = current_tracer()
@@ -381,7 +376,7 @@ class TieredGraphView:
         """Apply the residency budget now; returns labels demoted.
 
         Called at query boundaries: demotes least-recently-touched
-        labels until resident packed bytes fit the budget (``None``
+        labels until resident bytes fit the budget (``None``
         keeps the current one), then compacts the batched kernel's
         shared block so demoted segments release their bytes as well.
         Safe to call any time no solve is in flight.
@@ -412,9 +407,10 @@ class TieredGraphView:
         return label in self._pairs
 
     def resident_bytes(self) -> int:
-        """Packed bytes currently materialized (the budgeted value)."""
+        """Bytes of every array the resident pairs cache — dense
+        blocks, their row indexes and CSR lists (the budgeted value)."""
         return sum(
-            _pair_resident_bytes(pair) for pair in self._pairs.values()
+            pair.nbytes for pair in self._pairs.values()
         )
 
     def lru_labels(self) -> Tuple[str, ...]:

@@ -12,7 +12,6 @@ from repro.bitvec import (
     use_kernel,
 )
 from repro.bitvec.gap import GapEncodedMatrix
-from repro.graph import Graph
 
 
 @pytest.fixture
@@ -89,13 +88,6 @@ class TestPackedLayout:
         assert not pair.forward.is_packed
         pair.pack()
         assert pair.forward.has_edge(1, 4)
-
-    def test_graph_matrices_are_packed(self):
-        g = Graph()
-        g.add_edge("x", "l", "y")
-        for built in g.matrices().values():
-            assert built.forward.is_packed
-            assert built.backward.is_packed
 
     def test_summary_falls_out_of_build(self, pair):
         pair.pack()

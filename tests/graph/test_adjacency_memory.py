@@ -1,0 +1,102 @@
+"""In-memory graphs keep their adjacency sparse.
+
+``Graph.matrices()`` builds every label's forward and backward CSR
+lists when the graph is loaded, and the query path (solve, prune,
+join) never asks for a dense |V|-bit row block.  A dense block is
+still derivable on request, bit-equal to one built edge by edge.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro import Database
+from repro.bitvec import LabelMatrixPair
+from repro.graph import Graph
+from repro.workloads import LUBM_QUERIES, generate_lubm
+
+
+def _dense_build(graph):
+    pairs = {}
+    for s, label, d in graph.indexed_edges():
+        pairs.setdefault(label, LabelMatrixPair(graph.n_nodes)).add_edge(s, d)
+    return {label: pair.pack() for label, pair in pairs.items()}
+
+
+@pytest.fixture(scope="module")
+def lubm():
+    """A private LUBM(2): these tests inspect and then pack its pairs."""
+    return generate_lubm(n_universities=2, seed=3, spiral_length=10)
+
+
+def test_matrices_built_at_load_as_csr(lubm):
+    """The adjacency is built when the graph is loaded, not by the
+    first query: the session's queries reuse the very same lists."""
+    g = Graph()
+    g.add_edge("x", "l", "y")
+    g.add_node("isolated")
+    for pair in g.matrices().values():
+        for matrix in (pair.forward, pair.backward):
+            assert matrix._indptr is not None
+            assert matrix._indices is not None
+            assert not matrix.is_packed
+    built = lubm.matrices()
+    lists = {
+        label: (pair.forward._indices, pair.backward._indices)
+        for label, pair in built.items()
+    }
+    Database.in_memory(lubm).query(LUBM_QUERIES["L0"], mode="pruned").rows()
+    assert lubm.matrices() is built
+    for label, pair in built.items():
+        assert pair.forward._indices is lists[label][0]
+        assert pair.backward._indices is lists[label][1]
+
+
+@pytest.fixture(scope="module")
+def queried(lubm):
+    database = Database.in_memory(lubm)
+    for mode in ("pruned", "full"):
+        for query in LUBM_QUERIES.values():
+            database.query(query, mode=mode).rows()
+    return lubm
+
+
+def test_queries_leave_pairs_unpacked(queried):
+    matrices = queried.matrices()
+    assert matrices
+    for label, pair in matrices.items():
+        assert not pair.forward.is_packed, label
+        assert not pair.backward.is_packed, label
+
+
+def test_later_pack_equals_dense_build(queried):
+    dense = _dense_build(queried)
+    matrices = queried.matrices()
+    assert set(matrices) == set(dense)
+    for label, pair in matrices.items():
+        pair.pack()
+        for got, want in (
+            (pair.forward, dense[label].forward),
+            (pair.backward, dense[label].backward),
+        ):
+            assert np.array_equal(got._row_nodes, want._row_nodes)
+            assert np.array_equal(got._packed, want._packed)
+            assert got.rows.keys() == want.rows.keys()
+            for node, row in want.rows.items():
+                assert got.rows[node] == row
+            assert got.summary == want.summary
+
+
+def test_matrices_allocate_under_four_times_edge_columns(lubm):
+    graph = Graph.from_edges(lubm.edges())
+    column_bytes = 2 * np.dtype(np.int64).itemsize * graph.n_edges
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        matrices = graph.matrices()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert matrices
+    assert retained < 4 * column_bytes

@@ -1,5 +1,6 @@
 """Property-based tests: the Bitset kernel behaves like Python sets."""
 
+import numpy as np
 from hypothesis import given, strategies as st
 
 from repro.bitvec import Bitset
@@ -75,3 +76,9 @@ def test_intersection_update_shrink_flag(a, b):
 @given(st.integers(min_value=0, max_value=300))
 def test_ones_count_any_width(width):
     assert Bitset.ones(width).count() == width
+
+
+@given(subsets, st.lists(st.integers(min_value=0, max_value=WIDTH - 1)))
+def test_bits_at_matches_membership(a, probes):
+    indices = np.array(probes, dtype=np.int64)
+    assert bs(a).bits_at(indices).tolist() == [p in a for p in probes]

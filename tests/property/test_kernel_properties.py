@@ -19,7 +19,12 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from repro.bitvec import Bitset, build_label_matrices, use_kernel
+from repro.bitvec import (
+    Bitset,
+    LabelMatrixPair,
+    build_label_matrices,
+    use_kernel,
+)
 from repro.core import (
     SolverOptions,
     largest_dual_simulation,
@@ -37,15 +42,23 @@ KERNELS = ("packed", "batched", "reference")
 
 
 @st.composite
-def matrix_inputs(draw, max_nodes=80, max_edges=160):
-    n = draw(st.integers(min_value=1, max_value=max_nodes))
+def matrix_inputs(draw, max_nodes=80, max_edges=160, sizes=None):
+    """``(n, edges, vec, mask)``; with ``sizes``, ``n`` is drawn from
+    them and some nodes are kept isolated (no edge touches them)."""
+    if sizes is None:
+        n = draw(st.integers(min_value=1, max_value=max_nodes))
+        endpoints = st.integers(min_value=0, max_value=n - 1)
+    else:
+        n = draw(st.sampled_from(sizes))
+        isolated = draw(st.sets(
+            st.integers(min_value=0, max_value=n - 1), max_size=n - 1
+        ))
+        endpoints = st.sampled_from(
+            [v for v in range(n) if v not in isolated]
+        )
     n_edges = draw(st.integers(min_value=0, max_value=max_edges))
     edges = [
-        (
-            draw(st.integers(min_value=0, max_value=n - 1)),
-            draw(st.sampled_from(LABELS)),
-            draw(st.integers(min_value=0, max_value=n - 1)),
-        )
+        (draw(endpoints), draw(st.sampled_from(LABELS)), draw(endpoints))
         for _ in range(n_edges)
     ]
     vec = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
@@ -108,6 +121,77 @@ def test_products_bit_identical_across_kernels(inputs):
             with use_kernel("reference"):
                 reference = pair.product(vec, direction, strategy="row")
             assert packed == reference
+
+
+def _dense_pairs(n, edges):
+    """The same label matrices built edge by edge (dense rows)."""
+    pairs = {}
+    for src, label, dst in edges:
+        pairs.setdefault(label, LabelMatrixPair(n)).add_edge(src, dst)
+    return pairs
+
+
+def _assert_csr_products_match(csr, dense, vec, masks):
+    """Packed (CSR) products of ``csr`` equal reference products of
+    the dense-built ``dense``, for every strategy and direction."""
+    for direction in DIRECTIONS:
+        for mask in masks:
+            for strategy in STRATEGIES:
+                with use_kernel("packed"):
+                    got = csr.product(
+                        vec, direction, mask=mask, strategy=strategy
+                    )
+                with use_kernel("reference"):
+                    want = dense.product(
+                        vec, direction, mask=mask, strategy=strategy
+                    )
+                assert got == want, (direction, strategy)
+        with use_kernel("packed"):
+            got = csr.product(vec, direction, strategy="row")
+        with use_kernel("reference"):
+            want = dense.product(vec, direction, strategy="row")
+        assert got == want
+    s, o = csr.edge_columns()
+    expected = sorted(
+        (i, int(j)) for i, row in dense.forward.rows.items() for j in row
+    )
+    assert list(zip(s.tolist(), o.tolist())) == expected
+
+
+@given(
+    matrix_inputs(max_edges=120, sizes=(1, 63, 64, 65, 200)),
+    st.integers(min_value=0, max_value=199),
+    st.integers(min_value=0, max_value=199),
+    st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_csr_products_match_reference(inputs, extra_src, extra_dst, full):
+    """CSR products — of pairs built from edge columns and of pairs
+    that arrived dense — equal the reference products over dense rows,
+    with empty, full and drawn masks, across word boundaries and with
+    isolated nodes; an edge added after the CSR was cached is seen."""
+    n, edges, vec_members, mask_members = inputs
+    vec = Bitset.ones(n) if full else Bitset.from_indices(n, vec_members)
+    masks = (
+        Bitset.zeros(n), Bitset.ones(n), Bitset.from_indices(n, mask_members)
+    )
+    csr_pairs = build_label_matrices(n, edges)
+    dense_pairs = _dense_pairs(n, edges)
+    assert set(csr_pairs) == set(dense_pairs)
+    for label, csr in csr_pairs.items():
+        dense = dense_pairs[label]
+        assert not csr.forward.is_packed and not csr.backward.is_packed
+        _assert_csr_products_match(csr, dense, vec, masks)
+        # A dense-built pair derives its CSR from the block.
+        _assert_csr_products_match(dense, dense, vec, masks)
+        # Both CSRs are cached now; a new edge must not be served stale.
+        src, dst = extra_src % n, extra_dst % n
+        for pair in (csr, dense):
+            pair.add_edge(src, dst)
+        assert csr.forward.has_edge(src, dst)
+        assert csr.backward.has_edge(dst, src)
+        _assert_csr_products_match(csr, dense, vec, masks)
+        _assert_csr_products_match(dense, dense, vec, masks)
 
 
 @given(matrix_inputs(max_nodes=40, max_edges=80))

@@ -3,7 +3,8 @@
 Bench scales are larger than the unit-test scales but still
 Python-friendly; the shapes (not absolute times) are what each bench
 asserts.  Every bench writes its rendered table to
-``benchmarks/results/`` so EXPERIMENTS.md can cite the exact output.
+``benchmarks/results/``, so a run's exact output can be read beside
+the paper's table.
 """
 
 import pathlib

@@ -14,13 +14,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional
 
-from repro.bitvec import KERNELS, use_kernel
 from repro.core.compiler import compile_query, pattern_to_graph
 from repro.core.naive import ma_dual_simulation
 from repro.core.hhk import hhk_dual_simulation
 from repro.core.solver import SolverOptions, largest_dual_simulation
 from repro.graph.database import GraphDatabase
-from repro.obs.trace import NULL_TRACER, activate
 from repro.pipeline.pruned_query import PipelineReport, PruningPipeline
 from repro.sparql.normalize import merge_bgps, strip_filters, strip_optional
 from repro.sparql.parser import parse_query
@@ -228,118 +226,6 @@ def run_iteration_study(
             updates += result.report.updates
         elapsed = time.perf_counter() - start
         rows.append(IterationRow(name, rounds, evaluations, updates, elapsed))
-    return rows
-
-
-# -- Kernel ablation: packed vs reference products ---------------------------
-
-
-@dataclass
-class KernelBenchRow:
-    """One (query, kernel) measurement of the SOI solver."""
-
-    query: str
-    dataset: str
-    kernel: str
-    t_solve: float       # best-of-repeats wall time of one solve
-    rounds: int
-    evaluations: int
-    updates: int
-    bits_removed: int
-    total_bits: int      # fixpoint mass; must agree across kernels
-
-
-def run_kernel_bench(
-    names: Optional[List[str]] = None,
-    lubm_universities: int = DEFAULT_LUBM_UNIVERSITIES,
-    dbpedia_scale: int = DEFAULT_DBPEDIA_SCALE,
-    repeats: int = 3,
-    options: Optional[SolverOptions] = None,
-    kernels: Optional[List[str]] = None,
-) -> List[KernelBenchRow]:
-    """Solve every query's BGP core on each product kernel.
-
-    The Table 2 / Table 3 workloads (B-queries on DBpedia, L-queries
-    on LUBM) are run on every kernel (packed, batched, and the
-    reference loops — or the subset in ``kernels``); per kernel the
-    solver runs once for warm-up (the paper's tool holds the matrices
-    in memory, so packing, block stacking, and cache warming are not
-    part of a solve) and then ``repeats`` timed runs, reporting the
-    best.
-    """
-    if names is None:
-        names = (
-            sorted(LUBM_QUERIES, key=_query_sort_key)
-            + sorted(BENCH_QUERIES, key=_query_sort_key)
-        )
-    if kernels is None:
-        kernels = list(KERNELS)
-
-    prepared = []
-    for name in names:
-        db = database_for(
-            name,
-            lubm_universities=lubm_universities,
-            dbpedia_scale=dbpedia_scale,
-        )
-        db.matrices()  # build + pack up front
-        prepared.append(
-            (name, db, pattern_to_graph(mandatory_core_bgp(get_query(name))))
-        )
-
-    # One kernel group at a time, so a kernel is never timed against
-    # another kernel's resident working set (the batched kernel's
-    # block set would otherwise sit in cache while packed is
-    # measured).  Within a group, the warm-up pass runs each query
-    # once (the paper's tool holds everything in memory, so packing,
-    # block stacking, and cache warming are not part of a solve) and
-    # sizes the timing batch — sub-millisecond solves are timed in
-    # ~10 ms batches so timer granularity and allocator jitter
-    # average out.  The timing passes are *interleaved across
-    # queries*: host noise on shared runners comes in bursts, and
-    # back-to-back repeats of one query all land inside the same
-    # burst — spreading them over the group decorrelates them, so
-    # each minimum converges on the quiet-host time.  One GC
-    # quiescence spans each pass (collecting right before a timed
-    # solve perturbs the allocator enough to swamp the signal).
-    # Timed solves run with tracing force-disabled: a tracer left
-    # active by an embedding caller must never poison the timings the
-    # perf-regression gate compares.
-    rows: List[KernelBenchRow] = []
-    for kernel in kernels:
-        cells = []
-        with use_kernel(kernel), activate(NULL_TRACER):
-            for name, db, pattern in prepared:
-                warm_start = time.perf_counter()
-                result = largest_dual_simulation(pattern, db, options)
-                warm = time.perf_counter() - warm_start
-                inner = max(1, min(200, int(0.01 / max(warm, 1e-7))))
-                cells.append([name, db, pattern, inner, result,
-                              float("inf")])
-            for _ in range(max(1, repeats)):
-                with _quiesced_gc():
-                    for cell in cells:
-                        name, db, pattern, inner = cell[:4]
-                        start = time.perf_counter()
-                        for _ in range(inner):
-                            largest_dual_simulation(pattern, db, options)
-                        elapsed = (time.perf_counter() - start) / inner
-                        if elapsed < cell[5]:
-                            cell[5] = elapsed
-        rows.extend(
-            KernelBenchRow(
-                query=name,
-                dataset=dataset_of(name),
-                kernel=kernel,
-                t_solve=best,
-                rounds=result.report.rounds,
-                evaluations=result.report.evaluations,
-                updates=result.report.updates,
-                bits_removed=result.report.bits_removed,
-                total_bits=result.total_bits(),
-            )
-            for name, db, pattern, inner, result, best in cells
-        )
     return rows
 
 

@@ -20,8 +20,7 @@ coexist:
   fall back to the packed implementation.
 * ``"reference"`` — the seed implementation: one Python-level
   :class:`~repro.bitvec.bitset.Bitset` per row, products as Python
-  loops.  Kept verbatim so ablation benches can quantify the
-  vectorized kernels' win and property tests can assert bit-identical
+  loops.  Kept verbatim so property tests can assert bit-identical
   results.
 
 The active kernel is read from the ``REPRO_KERNEL`` environment
@@ -91,7 +90,7 @@ def set_kernel(name: str) -> str:
 
 @contextlib.contextmanager
 def use_kernel(name: str) -> Iterator[str]:
-    """Temporarily switch kernels (for tests and ablation benches)."""
+    """Temporarily switch kernels."""
     previous = set_kernel(name)
     try:
         yield name

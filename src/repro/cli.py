@@ -38,19 +38,17 @@ Commands:
 * ``bench`` — regenerate one of the paper's tables::
 
       python -m repro bench table2
-      python -m repro bench kernels --compare BENCH_PR1.json
-      python -m repro bench table3 --kernel reference
+      python -m repro bench table3
 """
 
 import argparse
-import contextlib
 import sys
 import threading
 from pathlib import Path
 from typing import List, Optional
 
 from repro.api import Database, ExecutionProfile, PRUNING_MODES
-from repro.bitvec.kernel import KERNELS, use_kernel
+from repro.bitvec.kernel import KERNELS
 from repro.errors import DeadlineExceededError, ReproError
 from repro.graph.io import save_ntriples
 from repro.store import PROFILES
@@ -58,11 +56,7 @@ from repro.workloads import generate_dbpedia, generate_lubm
 
 BENCH_TABLES = (
     "table2", "table3", "table4", "table5", "iterations", "hypothesis",
-    "kernels", "storage", "updates",
 )
-
-#: Exit code of ``bench kernels --compare`` when a query regressed.
-EXIT_REGRESSION = 3
 
 #: Exit code when a query blows its ``--deadline`` wall-clock bound.
 EXIT_DEADLINE = 4
@@ -151,20 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="regenerate a paper table")
     bench.add_argument("table", choices=BENCH_TABLES)
-    bench.add_argument("--json", dest="json_out", default=None,
-                       help="kernels/storage: also write machine-readable "
-                            "results (e.g. BENCH_PR1.json)")
-    bench.add_argument("--repeats", type=int, default=None,
-                       help="kernels only: timed repetitions per query "
-                            "(default 3)")
-    bench.add_argument("--compare", dest="compare_to", default=None,
-                       help="kernels only: diff against a previous "
-                            "repro-bench/v1 JSON baseline; exits "
-                            f"{EXIT_REGRESSION} on a >20%% regression")
-    bench.add_argument("--kernel", choices=KERNELS, default=None,
-                       help="run the table under this product kernel "
-                            "(for `kernels`: measure only this "
-                            "kernel; incompatible with --compare)")
 
     db = sub.add_parser("db", help="on-disk snapshot store")
     db_sub = db.add_subparsers(dest="db_command", required=True)
@@ -697,52 +677,6 @@ def cmd_explain(args, out) -> int:
 
 
 def cmd_bench(args, out) -> int:
-    if args.json_out is not None and args.table not in (
-        "kernels", "storage", "updates"
-    ):
-        print(
-            "error: --json only applies to "
-            "`bench kernels`/`bench storage`/`bench updates`",
-            file=sys.stderr,
-        )
-        return 2
-    if args.table != "kernels" and (
-        args.repeats is not None or args.compare_to is not None
-    ):
-        print(
-            "error: --repeats/--compare only apply to `bench kernels`",
-            file=sys.stderr,
-        )
-        return 2
-    if (
-        args.table == "kernels"
-        and args.kernel is not None
-        and args.compare_to is not None
-    ):
-        # A single-kernel run would report every baseline row of the
-        # other kernels as dropped (exit 3 by design); comparing only
-        # makes sense over the full matrix.
-        print(
-            "error: --kernel cannot be combined with --compare "
-            "(the baseline covers every kernel)",
-            file=sys.stderr,
-        )
-        return 2
-
-    if args.table == "kernels":
-        # `bench kernels` runs each kernel itself (restricted by
-        # --kernel inside _run_bench_table); the process-wide switch
-        # is for the other tables.
-        return _run_bench_table(args, out)
-    kernel_scope = (
-        use_kernel(args.kernel) if args.kernel is not None
-        else contextlib.nullcontext()
-    )
-    with kernel_scope:
-        return _run_bench_table(args, out)
-
-
-def _run_bench_table(args, out) -> int:
     from repro.bench import (
         render_engine_table,
         render_hypothesis,
@@ -768,179 +702,6 @@ def _run_bench_table(args, out) -> int:
                                   "virtuoso-like"), file=out)
     elif args.table == "iterations":
         print(render_iterations(run_iteration_study()), file=out)
-    elif args.table == "kernels":
-        from repro.bench import (
-            kernel_bench_summary,
-            render_kernel_bench,
-            run_kernel_bench,
-            write_bench_json,
-        )
-        from repro.bench.runner import (
-            DEFAULT_DBPEDIA_SCALE,
-            DEFAULT_LUBM_UNIVERSITIES,
-        )
-
-        baseline = None
-        if args.compare_to:
-            # Load and sanity-check the baseline *before* the
-            # multi-minute benchmark run, so a typo'd path or mangled
-            # file fails in milliseconds, not after the bench.
-            import json as json_module
-
-            try:
-                baseline = json_module.loads(
-                    Path(args.compare_to).read_text()
-                )
-            except json_module.JSONDecodeError as error:
-                print(
-                    f"error: baseline {args.compare_to} is not valid "
-                    f"JSON: {error}",
-                    file=sys.stderr,
-                )
-                return 2
-            if baseline.get("schema") != "repro-bench/v1":
-                print(
-                    "error: baseline schema "
-                    f"{baseline.get('schema')!r} is not repro-bench/v1",
-                    file=sys.stderr,
-                )
-                return 2
-
-        rows = run_kernel_bench(
-            repeats=3 if args.repeats is None else args.repeats,
-            kernels=None if args.kernel is None else [args.kernel],
-        )
-        print(render_kernel_bench(rows), file=out)
-        summary = kernel_bench_summary(rows)
-        kernels_run = summary["kernels"]
-        if "packed" in kernels_run and "reference" in kernels_run:
-            print(
-                "geomean speedup (reference/packed) "
-                f"{summary['geomean_speedup']:.2f}x, "
-                f"{summary['n_speedup_ge_3x']}/{summary['n_queries']} "
-                "queries >= 3x, fixpoints identical: "
-                f"{summary['fixpoints_identical']}",
-                file=out,
-            )
-        batched = summary.get("batched")
-        if batched:
-            def _x(value):
-                return "n/a" if value is None else f"{value:.2f}x"
-
-            print(
-                "batched vs packed: geomean "
-                f"{_x(batched['geomean_vs_packed'])} overall, "
-                f"{_x(batched['geomean_vs_packed_b_queries'])} on "
-                "B-queries, faster on "
-                f"{batched['n_faster_than_packed']}/"
-                f"{summary['n_queries']} "
-                f"(vs reference "
-                f"{_x(batched['geomean_vs_reference'])})",
-                file=out,
-            )
-        if args.json_out:
-            write_bench_json(
-                args.json_out, rows,
-                lubm_universities=DEFAULT_LUBM_UNIVERSITIES,
-                dbpedia_scale=DEFAULT_DBPEDIA_SCALE,
-            )
-            print(f"wrote {args.json_out}", file=out)
-        if baseline is not None:
-            from repro.bench import (
-                compare_with_baseline,
-                kernel_aggregate_regressions,
-                render_bench_compare,
-            )
-
-            comparisons, unmatched = compare_with_baseline(rows, baseline)
-            print(f"baseline: {args.compare_to}", file=out)
-            print(render_bench_compare(comparisons, unmatched), file=out)
-            diverged = [c for c in comparisons if not c.fixpoint_equal]
-            if diverged:
-                # A changed fixpoint is a correctness break, strictly
-                # worse than any slowdown — always gate on it.
-                print(
-                    "error: fixpoint mass diverged from baseline for "
-                    + ", ".join(f"{c.query}/{c.kernel}" for c in diverged),
-                    file=sys.stderr,
-                )
-                return EXIT_REGRESSION
-            dropped = [u for u in unmatched if "(baseline only)" in u]
-            if dropped:
-                # A query the baseline measured but this run did not:
-                # a rename/removal must not silently hide its numbers.
-                print(
-                    "error: baseline queries missing from this run: "
-                    + ", ".join(dropped),
-                    file=sys.stderr,
-                )
-                return EXIT_REGRESSION
-            aggregate = kernel_aggregate_regressions(comparisons)
-            if aggregate:
-                # Sub-ms rows are not gated one by one (their minima
-                # are noise-bound); a kernel whose *geomean* is still
-                # over the bar after drift normalization slowed down
-                # systematically, and that gates.
-                print(
-                    "error: kernel-wide slowdown vs baseline: "
-                    + ", ".join(
-                        f"{kernel} {g:.2f}x"
-                        for kernel, g in aggregate.items()
-                    ),
-                    file=sys.stderr,
-                )
-                return EXIT_REGRESSION
-            if any(c.is_regression() for c in comparisons):
-                return EXIT_REGRESSION
-    elif args.table == "updates":
-        from repro.bench import (
-            render_updates_bench,
-            run_updates_bench,
-            write_updates_bench_json,
-        )
-
-        result = run_updates_bench()
-        print(render_updates_bench(result), file=out)
-        if args.json_out:
-            write_updates_bench_json(args.json_out, result)
-            print(f"wrote {args.json_out}", file=out)
-        if not result.answers_all_equal:
-            print(
-                "error: incremental answers differ from cold-solve "
-                "answers",
-                file=sys.stderr,
-            )
-            return 1
-    elif args.table == "storage":
-        from repro.bench import (
-            render_storage_bench,
-            run_storage_bench,
-            write_storage_bench_json,
-        )
-
-        result = run_storage_bench()
-        print(render_storage_bench(result), file=out)
-        if args.json_out:
-            write_storage_bench_json(args.json_out, result)
-            print(f"wrote {args.json_out}", file=out)
-        if not result.answers_all_equal:
-            print(
-                "error: snapshot answers differ from in-memory answers",
-                file=sys.stderr,
-            )
-            return 1
-        if not result.cold_open_lazy:
-            # The query-ready open must not decode adjacency: a fill
-            # or promotion at open is the full-edge-scan regression
-            # the lazy join indexes exist to prevent.
-            print(
-                "error: cold open was not lazy "
-                f"({result.cold_open_join_fills} join fills, "
-                f"{result.cold_open_promotions} promotions before any "
-                "query)",
-                file=sys.stderr,
-            )
-            return 1
     else:
         print(render_hypothesis(run_hhk_hypothesis()), file=out)
     return 0

@@ -267,8 +267,7 @@ def _solve_segment(
     Each preempted segment gets its own span (a resumed solve is a new
     segment), with the cumulative work counters attached on close.
     The disabled path adds exactly one ``tracer.enabled`` check around
-    the untouched inner loop — the perf-regression gate holds it to
-    the untraced baseline.
+    the untouched inner loop.
     """
     tracer = current_tracer()
     if not tracer.enabled:
@@ -516,8 +515,7 @@ def _solve_once(
                     # timer branches — an unbounded solve pays zero
                     # preemption overhead (the packed kernel's short
                     # evaluations are sensitive to per-step Python
-                    # cost; the perf-regression gate holds this path
-                    # to the PR 5 baseline).  Evaluation order is
+                    # cost).  Evaluation order is
                     # identical to the bounded loop below, so the
                     # trajectory stays bit-identical either way.
                     for idx in queue:

@@ -10,8 +10,9 @@ Zero-dependency (stdlib only) window into the engine:
   exportable as one-span-per-line JSON with OTel-compatible field
   names.  The module-level :data:`NULL_TRACER` is active by default;
   every hot-path hook is an inline ``if tracer.enabled`` guard, so the
-  disabled path costs one attribute read (the perf-regression bench
-  gate holds it to the untraced baseline).
+  disabled path costs one attribute read (the end-to-end benchmark
+  times the untraced path and reports tracing's cost as
+  ``obs.trace_on_overhead_frac``).
 
 * **Metrics** (:mod:`repro.obs.metrics`) — a process-wide
   :class:`MetricsRegistry` of counters and bounded histograms (query

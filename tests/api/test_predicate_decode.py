@@ -27,6 +27,12 @@ def test_rows(session):
     assert {(row["s"], row["p"], row["o"]) for row in rows} == set(TRIPLES)
 
 
+def test_auto_mode_rows(session):
+    # `auto` cannot prune a variable predicate and answers in full mode.
+    rows = session.query(SPO, mode="auto").rows()
+    assert sorted(row["p"] for row in rows) == ["knows", "likes"]
+
+
 def test_as_set(session):
     assert session.query(SPO, mode="full").as_set() == {
         (("o", "b"), ("p", "knows"), ("s", "a")),

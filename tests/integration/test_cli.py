@@ -211,9 +211,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             run_cli([])
 
-    def test_unknown_bench_table(self):
-        with pytest.raises(SystemExit):
-            run_cli(["bench", "table99"])
+    @pytest.mark.parametrize("argv", [
+        ["table99"],
+        ["kernels"],
+        ["storage"],
+        ["updates"],
+        ["table2", "--json", "x"],
+    ], ids=["table99", "kernels", "storage", "updates", "json-flag"])
+    def test_unknown_bench_table(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(["bench", *argv])
+        assert excinfo.value.code == 2
 
 
 class TestAskCommand:

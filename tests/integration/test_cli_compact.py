@@ -1,13 +1,10 @@
-"""Integration tests for `repro db compact` and `repro bench updates`."""
+"""Integration tests for `repro db compact`."""
 
 import io
-import json
 
 import pytest
 
-import repro.bench as bench_module
 from repro import Database
-from repro.bench import UpdateQueryRow, UpdatesBenchResult
 from repro.cli import main
 from repro.graph import GraphDatabase, example_movie_database
 from repro.graph.io import save_ntriples
@@ -89,52 +86,3 @@ class TestDbCompact:
             "-o", str(tmp_path / "out.snap"),
         ])
         assert code == 1
-
-
-def _fake_updates_result(equal=True):
-    return UpdatesBenchResult(
-        lubm_universities=2,
-        deltas_per_query=3,
-        engine="virtuoso-like",
-        t_warmup_incremental=0.01,
-        t_warmup_full=0.01,
-        queries=[
-            UpdateQueryRow(
-                query="L0",
-                n_steps=6,
-                t_incremental=0.002,
-                t_full=0.02,
-                answers_equal=equal,
-                modes={"cascades": 4, "fallbacks": 2},
-            )
-        ],
-    )
-
-
-class TestBenchUpdatesCli:
-    def test_renders_and_writes_json(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(
-            bench_module, "run_updates_bench",
-            lambda: _fake_updates_result(),
-        )
-        json_path = tmp_path / "updates.json"
-        code, output = run_cli([
-            "bench", "updates", "--json", str(json_path),
-        ])
-        assert code == 0
-        assert "L0" in output
-        doc = json.loads(json_path.read_text())
-        assert doc["schema"] == "repro-updates-bench/v1"
-
-    def test_answer_divergence_exits_nonzero(self, monkeypatch, capsys):
-        monkeypatch.setattr(
-            bench_module, "run_updates_bench",
-            lambda: _fake_updates_result(equal=False),
-        )
-        code, _ = run_cli(["bench", "updates"])
-        assert code == 1
-        assert "differ" in capsys.readouterr().err
-
-    def test_repeats_flag_rejected(self):
-        code, _ = run_cli(["bench", "updates", "--repeats", "2"])
-        assert code == 2

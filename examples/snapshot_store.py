@@ -6,9 +6,9 @@ splits that into a one-time build and arbitrarily many cheap opens:
 
 1. ``Database.from_workload("lubm", cache_dir=...)`` generates the
    LUBM workload and serializes it — *once per configuration*;
-2. every later call memory-maps the snapshot: hot labels come up as
-   packed solver-ready blocks, cold labels stay gap-encoded on disk
-   until a query touches them;
+2. every later call memory-maps the snapshot: every label stays on
+   disk until a query touches it, and then its CSR arrays are adopted
+   as zero-copy views into the mapping;
 3. queries promote exactly the labels they need, and
    ``Database.stats().residency`` shows how much of the database ever
    became resident — the paper's Sect. 3.3 memory argument,
@@ -48,11 +48,10 @@ def main():
                   "(no regeneration, no N-Triples parsing)")
             db.close()
 
-        # -- query: cold tier promotes on first touch ---------------------
+        # -- query: labels promote on first touch -------------------------
         db = Database.from_workload("lubm", cache_dir=cache_dir, **CONFIG)
         before = db.stats().residency
-        print(f"\nafter open: {before.hot_labels} hot / "
-              f"{before.cold_labels} cold labels, "
+        print(f"\nafter open: {before.cold_labels} cold labels, "
               f"{before.resident_bytes} B resident")
 
         # simulate() runs the solver side only: it promotes exactly
@@ -66,7 +65,7 @@ def main():
               f"({', '.join(after.promoted_labels)}), "
               f"{after.resident_bytes} B resident "
               f"vs {after.on_disk_bytes} B on disk")
-        print(f"{after.cold_labels} labels never left the cold tier — "
+        print(f"{after.cold_labels} labels never left the disk — "
               "attribute predicates the query did not mention cost "
               "no memory.")
         db.close()

@@ -16,8 +16,8 @@ and :class:`SnapshotBackend` over the on-disk snapshot store
 (:class:`~repro.storage.SnapshotReader` + tiered residency).  Because
 both satisfy the same contract, :class:`~repro.pipeline.PruningPipeline`
 and :class:`~repro.store.engine.QueryEngine` no longer special-case
-memory vs snapshot, and future connectors (sharded snapshots, a
-mutable overlay, a remote store) slot in without touching the query
+memory vs snapshot, and other connectors (the mutable overlay, a
+remote store) slot in without touching the query
 layers.
 """
 
@@ -120,7 +120,7 @@ class GraphBackend(Protocol):
         ...
 
     def residency(self) -> Optional[ResidencyReport]:
-        """Hot/cold residency of the backing storage, or ``None`` when
+        """Label residency of the backing storage, or ``None`` when
         the notion does not apply (fully in-memory)."""
         ...
 
@@ -231,16 +231,16 @@ class InMemoryBackend:
 
 
 class SnapshotBackend:
-    """Backend over an on-disk snapshot (``repro-snap/v1``).
+    """Backend over an on-disk snapshot (``repro-snap`` v4).
 
-    The solver side is a :class:`TieredGraphView` — hot labels
-    resident from open, cold labels promoted on first query touch.
+    The solver side is a :class:`TieredGraphView` — labels promoted
+    on first query touch.
     The join-engine store is a
     :class:`~repro.store.lazy.LazySnapshotStore`: constructing it
-    adopts the dictionaries and block-table statistics in
+    adopts the dictionaries and array-table statistics in
     O(dictionary) and fills pso/pos indexes one predicate at a time
     on first engine touch, so even sessions that *do* join open in
-    milliseconds and only decode the predicates their queries use.
+    milliseconds and only read the predicates their queries use.
     :meth:`stats` reports ``join_index_fills`` next to the residency
     promotion counters.
     """
@@ -317,7 +317,6 @@ class SnapshotBackend:
             "n_triples": self.n_triples,
             "n_nodes": self.n_nodes,
             "n_labels": len(self.labels),
-            "hot_labels": residency.hot_labels,
             "cold_labels": residency.cold_labels,
             "promotions": residency.promotions,
             "demotions": residency.demotions,

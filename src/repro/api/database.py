@@ -168,7 +168,6 @@ class DatabaseStats:
             out["path"] = str(self.path)
         if self.residency is not None:
             out["residency"] = {
-                "hot_labels": self.residency.hot_labels,
                 "cold_labels": self.residency.cold_labels,
                 "promotions": self.residency.promotions,
                 "demotions": self.residency.demotions,
@@ -438,11 +437,7 @@ class Database:
             self._advisor = None
         return applied
 
-    def compact(
-        self,
-        out_path: Union[str, Path],
-        cold_threshold: Optional[float] = None,
-    ):
+    def compact(self, out_path: Union[str, Path]):
         """Fold base + delta into a fresh snapshot at ``out_path``.
 
         The written file is byte-equivalent to building a snapshot
@@ -454,13 +449,7 @@ class Database:
         self._require_writable("compact")
         from repro.storage.writer import SnapshotWriter
 
-        if cold_threshold is None:
-            writer = SnapshotWriter(Path(out_path))
-        else:
-            writer = SnapshotWriter(
-                Path(out_path), cold_threshold=cold_threshold
-            )
-        return writer.write(self.backend.graph)
+        return SnapshotWriter(Path(out_path)).write(self.backend.graph)
 
     # -- internals --------------------------------------------------------
 

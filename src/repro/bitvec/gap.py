@@ -15,9 +15,12 @@ bits".  This module provides that storage layer:
   gap-encoded representations of a graph's label matrices, the
   quantity behind the paper's 35 GB / 23 GB discussion.
 
-Gap encoding is the cold-storage format; the solver's hot path runs
-on the CSR lists of :class:`~repro.bitvec.matrix.AdjacencyMatrix`
-(see :mod:`repro.bitvec.kernel`).  The import path between the two is
+Gap encoding is a measured alternative, not a storage format: the
+paper-table memory benches compare it against the dense words, while
+the solver and the snapshot file both use the CSR lists of
+:class:`~repro.bitvec.matrix.AdjacencyMatrix` (see
+:mod:`repro.bitvec.kernel` and :mod:`repro.storage.format`).  The
+conversion path between the two is
 :meth:`GapEncodedMatrix.from_adjacency` (compress a built matrix) and
 :meth:`GapEncodedMatrix.to_adjacency` (decompress all rows and pack
 them into one contiguous block, from which the first product derives
@@ -130,8 +133,7 @@ class GapEncodedMatrix:
     def to_adjacency(self):
         """Decompress into a packed :class:`AdjacencyMatrix`.
 
-        The import path from cold gap-encoded storage to the hot
-        kernel: every row is decoded once and the result is packed
+        Every row is decoded once and the result is packed
         into the contiguous row block the vectorized products run on.
         """
         from repro.bitvec.matrix import AdjacencyMatrix

@@ -17,11 +17,12 @@ A dense layout is derived on request and then cached: a dict from
 node index to a :class:`Bitset` row, the rows being views into one
 contiguous ``(n_rows, n_words)`` ``uint64`` block
 (:meth:`AdjacencyMatrix.pack`).  The ``"reference"`` and ``"batched"``
-kernels, the snapshot writer, the gap encoder, overlay rebuilds and
-the retained-triples specification read it.  Matrices that arrive
-dense — snapshot blocks, gap decoding, edge-by-edge construction
-through :meth:`AdjacencyMatrix.add` — derive their CSR from the block
-on their first product.
+kernels, the gap encoder, overlay rebuilds and the retained-triples
+specification read it.  Snapshot labels arrive as CSR
+(:meth:`AdjacencyMatrix.from_csr` adopts the file's arrays); matrices
+that arrive dense — gap decoding, edge-by-edge construction through
+:meth:`AdjacencyMatrix.add` — derive their CSR from the block on their
+first product.
 
 The core operation is the bit-vector x bit-matrix product (Eq. (9)):
 
@@ -170,24 +171,39 @@ class AdjacencyMatrix:
         self._entry_rows: np.ndarray | None = None
 
     @classmethod
+    def from_csr(
+        cls,
+        n: int,
+        row_nodes: np.ndarray,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+    ) -> "AdjacencyMatrix":
+        """A matrix that adopts sorted int64 CSR arrays as they are
+        (no copy, no check; a snapshot's views arrive checked).  No
+        dense row is built."""
+        out = cls(n)
+        out._rows = None
+        out._row_nodes = _frozen(row_nodes)
+        out._indptr = _frozen(indptr)
+        out._indices = _frozen(indices)
+        out.summary = Bitset.from_indices(n, row_nodes)
+        out.n_edges = int(indices.size)
+        return out
+
+    @classmethod
     def from_sorted_columns(
         cls, n: int, rows: np.ndarray, columns: np.ndarray
     ) -> "AdjacencyMatrix":
         """A CSR matrix over int64 edge columns sorted by
-        ``(row, column)`` without repeats; no dense row is built."""
+        ``(row, column)`` without repeats."""
         _check_range(n, rows, columns)
-        out = cls(n)
-        out._rows = None
         if rows.size:
             starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
         else:
             starts = np.empty(0, dtype=np.int64)
-        out._row_nodes = _frozen(rows[starts])
-        out._indptr = _frozen(np.append(starts, rows.size))
-        out._indices = _frozen(columns)
-        out.summary = Bitset.from_indices(n, out._row_nodes)
-        out.n_edges = int(columns.size)
-        return out
+        return cls.from_csr(
+            n, rows[starts], np.append(starts, rows.size), columns
+        )
 
     def add(self, src: int, dst: int) -> None:
         """Record an edge src -> dst (in this direction's orientation).

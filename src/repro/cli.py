@@ -155,16 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("data", help="N-Triples input file")
     build.add_argument("-o", "--out", required=True,
                        help="snapshot output path")
-    build.add_argument("--cold-threshold", type=float, default=None,
-                       help="store a label gap-encoded (cold) when its "
-                            "encoded bytes are below this fraction of "
-                            "its dense bytes (default 1.0)")
-    build.add_argument("--shards", type=int, default=None, metavar="N",
-                       help="write the v3 sharded layout: block "
-                            "payloads split across N shard files "
-                            "keyed by label hash, each with its own "
-                            "checksum table, so `db verify` localizes "
-                            "corruption to one shard")
 
     info = db_sub.add_parser("info", help="describe a snapshot file")
     info.add_argument("snapshot", help="snapshot path")
@@ -190,8 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="N-Triples file of triples to assert")
     compact.add_argument("--retract", default=None, metavar="FILE.nt",
                          help="N-Triples file of triples to retract")
-    compact.add_argument("--cold-threshold", type=float, default=None,
-                         help="as in `db build`")
 
     dbq = db_sub.add_parser(
         "query", help="evaluate a SPARQL query over a snapshot"
@@ -456,21 +444,11 @@ def cmd_db(args, out) -> int:
     if args.db_command == "build":
         from repro.graph.io import load_ntriples
 
-        db = load_ntriples(Path(args.data))
-        kwargs = {}
-        if args.cold_threshold is not None:
-            kwargs["cold_threshold"] = args.cold_threshold
-        if args.shards is not None:
-            kwargs["shards"] = args.shards
-        report = write_snapshot(db, args.out, **kwargs)
-        sharded = (
-            f" across {report.n_shards} shards" if report.n_shards else ""
-        )
+        report = write_snapshot(load_ntriples(Path(args.data)), args.out)
         print(
-            f"wrote {report.path} ({report.file_bytes} bytes{sharded}): "
+            f"wrote {report.path} ({report.file_bytes} bytes): "
             f"{report.n_triples} triples, {report.n_nodes} nodes, "
-            f"{report.n_predicates} predicates; "
-            f"{report.n_hot} hot / {report.n_cold} cold labels "
+            f"{report.n_predicates} predicates "
             f"in {report.elapsed:.3f}s",
             file=out,
         )
@@ -488,10 +466,7 @@ def cmd_db(args, out) -> int:
                 n_retracted = db.retract(
                     load_ntriples(Path(args.retract)).triples()
                 )
-            kwargs = {}
-            if args.cold_threshold is not None:
-                kwargs["cold_threshold"] = args.cold_threshold
-            report = db.compact(args.out, **kwargs)
+            report = db.compact(args.out)
         finally:
             db.close()
         print(
@@ -512,13 +487,9 @@ def cmd_db(args, out) -> int:
         if args.json_out:
             print(json_module.dumps(report.to_dict(), indent=2), file=out)
             return 0 if report.ok else 1
-        bar = (
-            "CRC32C" if report.checksummed
-            else "structural only (v1 carries no checksums)"
-        )
         print(
-            f"{report.path}: format v{report.version}, "
-            f"integrity bar {bar}",
+            f"{report.path}: format v{report.version}, integrity bar "
+            "CRC32C + CSR structure + transposition",
             file=out,
         )
         for section in report.sections:
@@ -553,52 +524,34 @@ def cmd_db(args, out) -> int:
             print(
                 f"{info.path}: {info.file_bytes} bytes, "
                 f"{info.n_triples} triples, {info.n_nodes} nodes, "
-                f"{info.n_predicates} predicates "
-                f"({info.n_hot} hot / {info.n_cold} cold)",
+                f"{info.n_predicates} predicates",
                 file=out,
             )
-            checksums = (
-                "per-section CRC32C" if info.checksummed
-                else "none (pre-checksum format; `db verify` falls "
-                     "back to structural checks)"
-            )
-            layout = (
-                f", {info.n_shards} payload shards" if info.n_shards else ""
-            )
             print(
-                f"format: v{info.version}, checksums: {checksums}{layout}",
+                f"format: v{info.version}, checksums: per-section CRC32C",
                 file=out,
             )
             if info.labels:
                 # Budget-sizing guidance for `db query --budget` /
                 # ExecutionProfile(residency_budget=...): what full
-                # promotion would pin resident, and the largest single
+                # promotion would pin resident (the adopted arrays;
+                # kernels may derive more), and the largest single
                 # label (a budget below it still works — the LRU pass
                 # demotes down to zero resident at query boundaries —
                 # but every query re-materializes that label).
-                full = sum(i.dense_bytes for i in info.labels)
-                largest = max(info.labels, key=lambda i: i.dense_bytes)
+                full = sum(i.payload_bytes for i in info.labels)
+                largest = max(info.labels, key=lambda i: i.payload_bytes)
                 print(
                     f"residency budget guide: ~{full} B fully "
                     f"promoted; largest label {largest.label!r} "
-                    f"~{largest.dense_bytes} B",
+                    f"~{largest.payload_bytes} B",
                     file=out,
                 )
             print(
                 render_table(
-                    ["Label", "Tier", "Edges", "Disk", "Dense", "Ratio"],
+                    ["Label", "Edges", "Bytes"],
                     (
-                        [
-                            i.label,
-                            "cold" if i.encoding == "gap" else "hot",
-                            str(i.n_edges),
-                            str(i.payload_bytes),
-                            str(i.dense_bytes),
-                            (
-                                f"{i.payload_bytes / i.dense_bytes:.2f}"
-                                if i.dense_bytes else "1.00"
-                            ),
-                        ]
+                        [i.label, str(i.n_edges), str(i.payload_bytes)]
                         for i in info.labels
                     ),
                 ),
@@ -619,8 +572,7 @@ def cmd_db(args, out) -> int:
         if residency.residency_budget is not None else ""
     )
     print(
-        f"residency: {residency.hot_labels} hot, "
-        f"{residency.cold_labels} cold, "
+        f"residency: {residency.cold_labels} cold, "
         f"{residency.promotions} promoted, "
         f"{residency.demotions} demoted "
         f"({residency.resident_bytes} B resident vs "

@@ -94,38 +94,6 @@ class GraphDatabase(Graph):
             db.add_triple(s, p, o)
         return db
 
-    @classmethod
-    def from_snapshot(cls, source) -> "GraphDatabase":
-        """Deprecated: materialize a snapshot fully in memory.
-
-        Use :meth:`repro.Database.open` for sessions (it keeps cold
-        labels compressed); this full decode remains for callers that
-        need the mutable :class:`GraphDatabase` surface.
-        """
-        from repro._deprecation import deprecated_call
-
-        deprecated_call(
-            "GraphDatabase.from_snapshot",
-            "GraphDatabase.from_snapshot() is deprecated; use "
-            "repro.Database.open(path) for sessions (or "
-            "TieredGraphView(path).to_graph_database() when a fully "
-            "materialized mutable database is really needed)",
-        )
-        from repro.storage.reader import SnapshotReader
-
-        reader = (
-            source if isinstance(source, SnapshotReader)
-            else SnapshotReader(source)
-        )
-        db = cls()
-        for name in reader.node_terms():
-            db.add_node(name)
-            if isinstance(name, Literal):
-                db._literal_indices.add(db.node_index(name))
-        for s, p, o in reader.iter_triples():
-            db.add_triple(s, p, o)
-        return db
-
     # -- literal bookkeeping ------------------------------------------------
 
     def is_literal(self, name: Hashable) -> bool:

@@ -19,7 +19,7 @@ __all__ = ["render_profile", "trace_coverage", "trace_summary"]
 
 #: Attributes rendered inline after the span name, in this order.
 _INLINE_ATTRS = (
-    "branch", "label", "mode", "kernel", "tier",
+    "branch", "label", "mode", "kernel",
     "rounds", "evaluations", "updates", "bits_removed",
     "triples_after", "solutions", "bytes", "attempt",
 )

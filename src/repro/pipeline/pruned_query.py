@@ -222,33 +222,6 @@ class PruningPipeline:
         # gap-encoded until a query touches them.
         self.db.matrices()
 
-    @classmethod
-    def from_snapshot(
-        cls,
-        path,
-        profile: str = "rdfox-like",
-        solver_options: Optional[SolverOptions] = None,
-    ) -> "PruningPipeline":
-        """Deprecated: use :meth:`repro.Database.open` instead.
-
-        The solver side runs over a
-        :class:`~repro.storage.TieredGraphView` (hot labels resident,
-        cold labels promoted on first touch); the join engine gets a
-        :class:`TripleStore` filled straight from the snapshot's
-        dictionary-encoded blocks.
-        """
-        deprecated_call(
-            "PruningPipeline.from_snapshot",
-            "PruningPipeline.from_snapshot() is deprecated; use "
-            "repro.Database.open(path) for snapshot sessions",
-        )
-        from repro.api.backend import SnapshotBackend
-
-        return cls(
-            profile=profile, solver_options=solver_options,
-            backend=SnapshotBackend(path),
-        )
-
     # -- stages -----------------------------------------------------------
 
     def parse(self, query: SelectQuery | str) -> SelectQuery:

@@ -2,16 +2,16 @@
 
 The persistence layer of the reproduction: build a snapshot once
 (``repro db build``), then open it in any number of processes without
-re-parsing N-Triples text.  Hot labels arrive as zero-copy packed
-blocks; cold labels stay gap-encoded on disk until first touch
-(see :mod:`repro.storage.tiered`).
+re-parsing N-Triples text.  The file stores each label's sorted CSR
+arrays; a label is adopted as zero-copy views on first touch (see
+:mod:`repro.storage.tiered`).
 
 Public surface:
 
 * :func:`write_snapshot` / :class:`SnapshotWriter` — serialize a
-  graph database (density heuristic decides each label's tier);
+  graph database;
 * :class:`SnapshotReader` — mmap a snapshot, decode dictionaries and
-  the block table, serve matrix views;
+  the array table, serve checked CSR views;
 * :class:`TieredGraphView` — the solver-facing adjacency view with
   lazy label promotion and residency counters;
 * :class:`SnapshotInfo` / :class:`WriteReport` /
@@ -19,7 +19,7 @@ Public surface:
 """
 
 from repro.storage.checksum import crc32c
-from repro.storage.format import MAGIC, VERSION, VERSION_V1
+from repro.storage.format import MAGIC, VERSION
 from repro.storage.reader import (
     LabelBlockInfo,
     SectionCheck,
@@ -34,7 +34,6 @@ from repro.storage.tiered import (
     TieredMatrices,
 )
 from repro.storage.writer import (
-    DEFAULT_COLD_THRESHOLD,
     SnapshotWriter,
     WriteReport,
     write_snapshot,
@@ -43,7 +42,6 @@ from repro.storage.writer import (
 __all__ = [
     "MAGIC",
     "VERSION",
-    "VERSION_V1",
     "crc32c",
     "SectionCheck",
     "VerificationReport",
@@ -53,7 +51,6 @@ __all__ = [
     "LabelBlockInfo",
     "WriteReport",
     "write_snapshot",
-    "DEFAULT_COLD_THRESHOLD",
     "TieredGraphView",
     "TieredMatrices",
     "ResidencyReport",

@@ -1,5 +1,5 @@
-"""Tiered graph view: hot dense blocks + cold gap blocks, promoted
-lazily and demoted under a residency budget.
+"""Tiered graph view: snapshot labels promoted lazily and demoted
+under a residency budget.
 
 :class:`TieredGraphView` opens a snapshot and satisfies the adjacency
 interface the SOI solver and the pruning stage consume from
@@ -9,32 +9,29 @@ interface the SOI solver and the pruning stage consume from
   ``node_index`` / ``has_node`` / ``nodes_bitset``
 * ``matrices()`` returning a mapping ``label -> LabelMatrixPair``
 
-The mapping is where the tiering lives.  *Hot* labels (stored dense)
-are wrapped into packed :class:`AdjacencyMatrix` views at open time —
-zero copies, solver-ready.  *Cold* labels (stored gap-encoded) occupy
-only their compressed bytes until a query first asks for them; the
-first ``matrices().get(label)`` **promotes** the label by decoding
-both directions through :meth:`GapEncodedMatrix.to_adjacency` into
-packed blocks, which are then cached like any hot label.  A resident
-pair also caches the CSR lists its first product derives.  Residency
-counters (:meth:`residency`) count every array a resident pair caches
-and so expose how much of the database is actually materialized —
-the quantity behind the paper's 35 GB fully dense vs 23 GB
+The mapping is where the tiering lives.  Every label starts *cold*:
+nothing but its bytes in the file.  The first ``matrices().get(label)``
+**promotes** it: both directions' CSR arrays are checked
+(:meth:`SnapshotReader.csr`) and adopted as zero-copy views by
+:meth:`AdjacencyMatrix.from_csr` — no decode, no copy.  Residency
+counters (:meth:`residency`) count every array a resident pair holds
+(the adopted views and anything a kernel derives from them) and so
+expose how much of the database is actually materialized — the
+quantity behind the paper's 35 GB fully dense vs 23 GB
 mixed-residency comparison (Sect. 3.3).
 
 Residency is bounded, not just reported.  Every lookup refreshes the
 label's position in a touch-ordered LRU; when
 :attr:`residency_budget` is set, a promotion that pushes resident
 bytes over the budget **demotes** the least-recently-touched
-resident labels (gap labels drop their decoded blocks back to the
-on-disk gap rows, dense labels drop their zero-copy wrappers), and
+resident labels (they drop their views and every derived array), and
 :meth:`enforce_budget` runs the same pass at query boundaries and
 compacts the batched kernel's shared block.  Demotion keeps each
 label's Eq. (13) summary vectors resident (they are tiny —
 2 x n/8 bytes), so summary initialization and the batched kernel's
 saturated-source shortcut never force a label back in; summaries of
-never-promoted cold labels are likewise served straight from the
-block table's row node ids without decoding a single row.
+never-promoted labels are likewise served straight from their
+``row_nodes`` arrays without building a matrix.
 
 A view is read-only; it intentionally does **not** implement the
 mutation or set-based traversal surface of :class:`Graph` (``add_edge``,
@@ -61,7 +58,7 @@ from typing import (
     Union,
 )
 
-from repro.bitvec import Bitset, LabelMatrixPair
+from repro.bitvec import AdjacencyMatrix, Bitset, LabelMatrixPair
 from repro.errors import GraphError, SnapshotError
 from repro.obs.logs import get_logger
 from repro.obs.metrics import registry
@@ -109,9 +106,8 @@ class ResidencyReport:
     """How much of an open snapshot is materialized in memory."""
 
     n_labels: int
-    hot_labels: int          # stored dense, currently resident
-    cold_labels: int         # not resident (on-disk rows only)
-    promotions: int          # cold labels decoded so far (re-decodes too)
+    cold_labels: int         # not resident (on-disk arrays only)
+    promotions: int          # labels adopted so far (re-adoptions too)
     promoted_labels: Tuple[str, ...]
     resident_bytes: int      # every array resident pairs cache
     on_disk_bytes: int       # snapshot file size
@@ -137,8 +133,8 @@ class ResidencyReport:
 class TieredMatrices:
     """Mapping ``label -> LabelMatrixPair`` with promote-on-first-touch.
 
-    Lookups of hot or already-promoted labels are dict hits; the first
-    lookup of a cold (or demoted) label materializes it.  Iteration
+    Lookups of resident labels are dict hits; the first lookup of a
+    cold (or demoted) label materializes it.  Iteration
     (``keys`` / ``len`` / ``in``) never promotes, and
     :meth:`summaries` serves Eq. (13) summary vectors without
     promoting either.
@@ -183,7 +179,8 @@ class TieredMatrices:
 
 
 class TieredGraphView:
-    """A graph database served from a snapshot, tiered hot/cold."""
+    """A graph database served from a snapshot, labels promoted on
+    first touch."""
 
     def __init__(
         self,
@@ -206,10 +203,6 @@ class TieredGraphView:
         }
         self._labels: List[str] = reader.labels()
         self._label_set: Set[str] = set(self._labels)
-        #: label -> storage tier ("dense" or "gap"), fixed by the file.
-        self._tiers: Dict[str, str] = {
-            label: reader.encoding_of(label) for label in self._labels
-        }
         #: Resident pairs in LRU order (least-recently-touched first).
         self._pairs: "OrderedDict[str, LabelMatrixPair]" = OrderedDict()
         #: Eq. (13) summaries that outlive their pair (see module doc).
@@ -217,9 +210,6 @@ class TieredGraphView:
         self._promoted: List[str] = []
         self._demoted: List[str] = []
         self.residency_budget = residency_budget
-        for label in self._labels:
-            if self._tiers[label] == "dense":
-                self._materialize(label)
         self._matrices = TieredMatrices(self)
         self._batched = None
 
@@ -269,33 +259,25 @@ class TieredGraphView:
         tracer = current_tracer()
         if not tracer.enabled:
             return self._materialize_inner(label)
-        tier = self._tiers[label]
-        with tracer.span("promotion", label=label, tier=tier) as span:
+        with tracer.span("promotion", label=label) as span:
             pair = self._materialize_inner(label)
-            # The bytes decoded now; the CSR the first product derives
-            # adds to resident_bytes() later.
+            # The bytes adopted now; arrays a kernel derives later add
+            # to resident_bytes().
             span.set_attribute("bytes", pair.nbytes)
             return pair
 
     def _materialize_inner(self, label: str) -> LabelMatrixPair:
         reader = self.reader
-        pair = LabelMatrixPair(reader.n_nodes)
-        if self._tiers[label] == "dense":
-            pair.forward = self._with_retries(
-                lambda: reader.dense_matrix(label, "forward")
-            )
-            pair.backward = self._with_retries(
-                lambda: reader.dense_matrix(label, "backward")
-            )
-        else:
-            pair.forward = self._with_retries(
-                lambda: reader.gap_matrix(label, "forward").to_adjacency()
-            )
-            pair.backward = self._with_retries(
-                lambda: reader.gap_matrix(label, "backward").to_adjacency()
-            )
-            self._promoted.append(label)
-            registry().counter("promotions_total").inc()
+        n = reader.n_nodes
+        pair = LabelMatrixPair(n)
+        pair.forward = AdjacencyMatrix.from_csr(
+            n, *self._with_retries(lambda: reader.csr(label, "forward"))
+        )
+        pair.backward = AdjacencyMatrix.from_csr(
+            n, *self._with_retries(lambda: reader.csr(label, "backward"))
+        )
+        self._promoted.append(label)
+        registry().counter("promotions_total").inc()
         self._pairs[label] = pair  # lands at the MRU end
         self._summaries.setdefault(
             label, (pair.forward.summary, pair.backward.summary)
@@ -303,10 +285,9 @@ class TieredGraphView:
         return pair
 
     def promote(self, label: str) -> LabelMatrixPair:
-        """Materialize a label into packed matrices (idempotent).
+        """Materialize a label by adopting its CSR views (idempotent).
 
-        Gap-tier labels decode through ``to_adjacency``; demoted
-        dense-tier labels re-wrap their zero-copy mmap views.  When a
+        When a
         :attr:`residency_budget` is set, the promotion immediately
         sheds least-recently-touched *other* labels so mid-solve
         promotions respect the ceiling too.
@@ -407,8 +388,9 @@ class TieredGraphView:
         return label in self._pairs
 
     def resident_bytes(self) -> int:
-        """Bytes of every array the resident pairs cache — dense
-        blocks, their row indexes and CSR lists (the budgeted value)."""
+        """Bytes of every array the resident pairs hold — adopted CSR
+        views and whatever kernels derived from them (the budgeted
+        value)."""
         return sum(
             pair.nbytes for pair in self._pairs.values()
         )
@@ -424,9 +406,8 @@ class TieredGraphView:
         or ``None`` for an unknown label — never promotes.
 
         Resident and previously-materialized labels answer from the
-        summary cache; a never-touched cold label's summaries are
-        built from the block table's row node ids (non-empty rows are
-        exactly the indexed ones), without decoding any row payload.
+        summary cache; a never-touched label's summaries are built from
+        its ``row_nodes`` arrays (non-empty rows are exactly those).
         """
         cached = self._summaries.get(label)
         if cached is not None:
@@ -441,16 +422,9 @@ class TieredGraphView:
         self._summaries[label] = summaries
         return summaries
 
-    def _hot_resident(self) -> int:
-        """Dense-tier labels currently materialized."""
-        return sum(
-            1 for label in self._pairs if self._tiers[label] == "dense"
-        )
-
     def residency(self) -> ResidencyReport:
         return ResidencyReport(
             n_labels=len(self._labels),
-            hot_labels=self._hot_resident(),
             cold_labels=len(self._labels) - len(self._pairs),
             promotions=len(self._promoted),
             promoted_labels=tuple(self._promoted),
@@ -489,7 +463,7 @@ class TieredGraphView:
 
         Lazily created and filled as solver rounds touch labels.  A
         cold label promoted mid-solve simply *appends* its freshly
-        decoded rows to the concatenated block on its first batched
+        adopted rows to the concatenated block on its first batched
         product — labels already stacked are never re-copied (the
         block grows geometrically, amortized O(1) per row).  A
         demotion invalidates the label's segments; the boundary-time
@@ -527,8 +501,8 @@ class TieredGraphView:
     # -- materialization ---------------------------------------------------
 
     def triples(self) -> Iterator[Tuple[Hashable, str, Hashable]]:
-        """Iterate all name triples (decodes cold blocks row by row
-        without promoting them into the resident tier)."""
+        """Iterate all name triples (reads the forward arrays without
+        promoting any label into the resident tier)."""
         return self.reader.iter_triples()
 
     def to_graph_database(self):
@@ -545,7 +519,6 @@ class TieredGraphView:
 
     def __repr__(self) -> str:
         report = (
-            f"hot={self._hot_resident()}, "
             f"cold={len(self._labels) - len(self._pairs)}, "
             f"promoted={len(self._promoted)}, "
             f"demoted={len(self._demoted)}"

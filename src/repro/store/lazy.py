@@ -5,15 +5,15 @@ whose pso/pos indexes are *filled one predicate at a time*, on the
 first engine touch of that predicate, instead of decoding every block
 up front.  Opening a session over a snapshot therefore costs
 O(dictionary) — the term dictionaries are adopted verbatim and the
-block table already carries exact per-predicate statistics — so a
+array table already carries exact per-predicate statistics — so a
 long-lived server cold-opens in milliseconds and only ever decodes
 the predicates its queries actually join on.
 
 Decode-free reads (never trigger a fill):
 
-* ``predicate_count(p)`` — the forward block's edge count;
-* ``distinct_subjects(p)`` — the forward block's row count;
-* ``distinct_objects(p)`` — the reverse block's row count;
+* ``predicate_count(p)`` — the forward arrays' edge count;
+* ``distinct_subjects(p)`` — the forward arrays' row count;
+* ``distinct_objects(p)`` — the backward arrays' row count;
 * ``predicate_ids()`` — the predicate dictionary.
 
 :class:`~repro.store.statistics.StoreStatistics` construction (join
@@ -34,7 +34,9 @@ raises :class:`~repro.errors.StoreError`.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterator, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.errors import StoreError
 from repro.obs.metrics import registry
@@ -42,6 +44,19 @@ from repro.rdf.dictionary import TermDictionary
 from repro.store.triple_store import IdTriple, TripleStore
 
 __all__ = ["LazySnapshotStore"]
+
+
+def _index(keys: np.ndarray, values: np.ndarray) -> Dict[int, Set[int]]:
+    """``key -> set(values)`` over two columns sorted by key."""
+    if keys.size == 0:
+        return {}
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    bounds = np.append(starts, keys.size).tolist()
+    members = values.tolist()
+    return {
+        key: set(members[lo:hi])
+        for key, lo, hi in zip(keys[starts].tolist(), bounds, bounds[1:])
+    }
 
 
 class LazySnapshotStore(TripleStore):
@@ -76,42 +91,22 @@ class LazySnapshotStore(TripleStore):
 
     def _ensure(self, p: int) -> None:
         """Fill predicate ``p``'s pso/pos indexes from its forward
-        block (the reverse index is derived in the same pass, so the
-        reverse block is never decoded for the join engine)."""
+        arrays: they are the label's ``(s, o)`` columns sorted by
+        subject; one stable sort by object gives the reverse index, so
+        the backward arrays are never read for the join engine."""
         if p in self._filled:
             return
         if p < 0 or p >= len(self.predicates):
             return
         label = self.predicates.decode(p)
-        by_subject: Dict[int, Set[int]] = {}
-        by_object: Dict[int, Set[int]] = {}
-        for s, o in self._label_pairs(label):
-            by_subject.setdefault(s, set()).add(o)
-            by_object.setdefault(o, set()).add(s)
-        self._pso[p] = by_subject
-        self._pos[p] = by_object
+        rows, indptr, objects = self._reader.csr(label, "forward")
+        subjects = np.repeat(rows, np.diff(indptr))
+        by_object = np.argsort(objects, kind="stable")
+        self._pso[p] = _index(subjects, objects)
+        self._pos[p] = _index(objects[by_object], subjects[by_object])
         self._filled.add(p)
         self.fill_count += 1
         registry().counter("join_index_fills_total").inc()
-
-    def _label_pairs(self, label: str) -> Iterator[Tuple[int, int]]:
-        from repro.bitvec.gap import decode as gap_decode
-        from repro.storage.format import ENCODING_DENSE
-
-        reader = self._reader
-        entry = reader._entry(label, "forward")
-        if entry.encoding == ENCODING_DENSE:
-            matrix = reader.dense_matrix(label, "forward")
-            for node in matrix._row_nodes.tolist():
-                for obj in matrix.rows[node].iter_ones().tolist():
-                    yield (node, obj)
-        else:
-            matrix = reader.gap_matrix(label, "forward")
-            n = reader.n_nodes
-            for node in sorted(matrix._rows):
-                row = gap_decode(matrix._rows[node], n)
-                for obj in row.iter_ones().tolist():
-                    yield (node, obj)
 
     def _ensure_all(self) -> None:
         for p in range(len(self.predicates)):
@@ -125,7 +120,7 @@ class LazySnapshotStore(TripleStore):
     def filled_predicates(self) -> FrozenSet[int]:
         return frozenset(self._filled)
 
-    # -- decode-free statistics (straight from the block table) ----------------
+    # -- decode-free statistics (straight from the array table) ----------------
 
     def predicate_count(self, p: int) -> int:
         if p in self._filled:

@@ -93,46 +93,6 @@ class TripleStore:
         store._add_all((s, predicate_id(p), o) for s, p, o in edges)
         return store
 
-    @classmethod
-    def from_snapshot(cls, source) -> "TripleStore":
-        """Deprecated: open snapshot sessions with
-        :meth:`repro.Database.open` (its backend builds this store
-        lazily, only when the join engine needs it)."""
-        from repro._deprecation import deprecated_call
-
-        deprecated_call(
-            "TripleStore.from_snapshot",
-            "TripleStore.from_snapshot() is deprecated; use "
-            "repro.Database.open(path) — its SnapshotBackend fills "
-            "the join-engine store lazily",
-        )
-        return cls._from_snapshot_reader(source)
-
-    @classmethod
-    def _from_snapshot_reader(cls, source) -> "TripleStore":
-        """Open a snapshot file (or reader) as a triple store.
-
-        The snapshot's dictionaries are adopted verbatim — node and
-        predicate ids in the store equal the snapshot's ids — and the
-        indexes are filled from the decoded forward blocks, skipping
-        N-Triples parsing and re-encoding entirely.
-        """
-        from repro.rdf.dictionary import TermDictionary
-        from repro.storage.reader import SnapshotReader
-
-        reader = (
-            source if isinstance(source, SnapshotReader)
-            else SnapshotReader(source)
-        )
-        store = cls()
-        store.nodes = TermDictionary.from_terms(reader.node_terms())
-        store.predicates = TermDictionary.from_terms(
-            reader.predicate_terms()
-        )
-        for s, p, o in reader.iter_id_triples():
-            store._add_ids(s, p, o)
-        return store
-
     def to_graph_database(self) -> GraphDatabase:
         """The graph of this store; its node indices are this store's
         node ids."""

@@ -4,15 +4,15 @@ Three families of faults, mirroring the failure domains the library
 defends against:
 
 * **Snapshot corruption** — :func:`corruption_cases` enumerates one
-  byte-flip (or truncation) per integrity class of the v2 snapshot
-  format: header, both term dictionaries, the block table, every
-  payload, the checksum table itself, and truncation.  Each case says
+  byte-flip (or truncation) per integrity class of the snapshot
+  format: header, both term dictionaries, the array table, every CSR
+  array, the checksum table itself, and truncation.  Each case says
   where detection must happen (``"open"`` for eagerly-verified
-  metadata, ``"verify"`` for lazily-checked payloads), so a test can
+  metadata, ``"verify"`` for lazily-checked arrays), so a test can
   assert the *promise*, not just "some error somewhere".
 
 * **Transient promotion I/O** — :func:`failing_promotions` patches the
-  snapshot reader's matrix accessors to raise :class:`OSError` a fixed
+  snapshot reader's array accessor to raise :class:`OSError` a fixed
   number of times, exercising the tiered store's retry-with-backoff
   path without touching a real filesystem fault.
 
@@ -44,7 +44,7 @@ class CorruptionCase:
     ``mutate`` transforms the pristine file bytes into the damaged
     ones.  ``detected_at`` is the earliest point detection is
     guaranteed: ``"open"`` (eager metadata verification raises before
-    a reader exists) or ``"verify"`` (payloads are checked lazily; a
+    a reader exists) or ``"verify"`` (arrays are checked lazily; a
     full :meth:`~repro.storage.reader.SnapshotReader.verify` pass, or
     the first access, flags them).
     """
@@ -74,21 +74,16 @@ def _flip(offset: int) -> Callable[[bytes], bytes]:
 
 def corruption_cases(path: Union[str, Path]) -> List[CorruptionCase]:
     """Every corruption class of the snapshot at ``path``, one case
-    each (plus one per payload block).
+    each (plus one per non-empty CSR array).
 
-    The file must be pristine and v2 — section ranges are read through
-    a throwaway reader before any damage is planned.
+    The file must be pristine — section ranges are read through a
+    throwaway reader before any damage is planned.
     """
     from repro.storage.reader import SnapshotReader, _META_SECTIONS
 
     path = Path(path)
     cases: List[CorruptionCase] = []
     with SnapshotReader(path) as reader:
-        if not reader.checksummed:
-            raise ValueError(
-                f"{path} is a v{reader.version} snapshot; corruption "
-                "cases need the checksummed v2 format"
-            )
         file_bytes = path.stat().st_size
         meta = {
             name: (start, length)
@@ -102,13 +97,18 @@ def corruption_cases(path: Union[str, Path]) -> List[CorruptionCase]:
                 detected_at="open",
                 mutate=_flip(start + length // 2),
             ))
-        for (label, direction), entry in sorted(reader._blocks.items()):
-            cases.append(CorruptionCase(
-                name=f"payload-{label}-{direction}",
-                section=f"payload {label}/{direction}",
-                detected_at="verify",
-                mutate=_flip(entry.payload_off + entry.payload_len // 2),
-            ))
+        for label, direction in sorted(reader._blocks):
+            for section, start, length, _ in reader._array_ranges(
+                label, direction
+            ):
+                if length == 0:
+                    continue
+                cases.append(CorruptionCase(
+                    name=section.replace(" ", "-").replace("/", "-"),
+                    section=section,
+                    detected_at="verify",
+                    mutate=_flip(start + length // 2),
+                ))
         table_off = reader._header.checksum_table_off
         cases.append(CorruptionCase(
             name="checksum-table",
@@ -160,39 +160,30 @@ def failing_promotions(
     failures: int = 1,
     error: Optional[Exception] = None,
 ) -> Iterator[PromotionFaults]:
-    """Make the next ``failures`` snapshot matrix reads raise OSError.
+    """Make the next ``failures`` snapshot array reads raise OSError.
 
-    Patches :class:`~repro.storage.reader.SnapshotReader`'s
-    ``dense_matrix`` / ``gap_matrix`` (the promotion entry points the
-    tiered store retries).  Yields a :class:`PromotionFaults` whose
+    Patches :class:`~repro.storage.reader.SnapshotReader`'s ``csr``
+    (the promotion entry point the tiered store retries).  Yields a :class:`PromotionFaults` whose
     ``injected`` counter tells how many faults actually fired — a test
     can assert it matches the store's ``promotion_retries``.
     """
     from repro.storage.reader import SnapshotReader
 
     state = PromotionFaults(failures)
-    originals = {
-        name: getattr(SnapshotReader, name)
-        for name in ("dense_matrix", "gap_matrix")
-    }
+    original = SnapshotReader.csr
 
-    def wrap(original):
-        def patched(self, *call_args, **call_kwargs):
-            if state.should_fail():
-                raise error if error is not None else OSError(
-                    "injected transient promotion failure"
-                )
-            return original(self, *call_args, **call_kwargs)
+    def patched(self, *call_args, **call_kwargs):
+        if state.should_fail():
+            raise error if error is not None else OSError(
+                "injected transient promotion failure"
+            )
+        return original(self, *call_args, **call_kwargs)
 
-        return patched
-
-    for name, original in originals.items():
-        setattr(SnapshotReader, name, wrap(original))
+    SnapshotReader.csr = patched
     try:
         yield state
     finally:
-        for name, original in originals.items():
-            setattr(SnapshotReader, name, original)
+        SnapshotReader.csr = original
 
 
 # -- kernel faults ----------------------------------------------------------

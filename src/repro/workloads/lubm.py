@@ -275,14 +275,19 @@ def lubm_snapshot_path(
     The readable prefix carries the headline knobs; the digest covers
     **every** config field, so changing any generation parameter (a
     probability, a per-department range, ...) maps to a different
-    file instead of silently reusing a stale snapshot.
+    file instead of silently reusing a stale snapshot.  The suffix
+    names the snapshot format version, so a cache written in a
+    retired format is never mistaken for a current one.
     """
+    from repro.storage.format import VERSION
+
     payload = repr(
         [(f.name, getattr(config, f.name)) for f in fields(config)]
     ).encode("utf-8")
     digest = hashlib.sha256(payload).hexdigest()[:10]
     return Path(cache_dir) / (
-        f"lubm-u{config.n_universities}-seed{config.seed}-{digest}.snap"
+        f"lubm-u{config.n_universities}-seed{config.seed}-{digest}"
+        f".v{VERSION}.snap"
     )
 
 
@@ -322,8 +327,7 @@ def open_lubm(
     The open-many half: builds the snapshot on first use (see
     :func:`build_lubm_snapshot`), then every call is a cheap cold
     open — dictionaries and the block table, no N-Triples parsing, no
-    regeneration, cold labels left compressed until queries touch
-    them.
+    regeneration, labels left on disk until queries touch them.
     """
     from repro.storage import TieredGraphView
 

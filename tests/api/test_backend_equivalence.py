@@ -12,7 +12,7 @@ import pytest
 from repro import Database, ExecutionProfile
 from repro.bitvec import KERNELS
 from repro.graph import example_movie_database
-from repro.storage import SnapshotWriter
+from repro.storage import write_snapshot
 from repro.workloads import LUBM_QUERIES, generate_lubm
 
 #: Queries over the Fig. 1 movie database (the paper's running
@@ -71,7 +71,7 @@ def movie_pair(tmp_path_factory):
     """(memory session, cold-snapshot session) over Fig. 1(a)."""
     db = example_movie_database()
     path = tmp_path_factory.mktemp("equiv") / "movies.snap"
-    SnapshotWriter(path, cold_threshold=1e9).write(db)
+    write_snapshot(db, path)
     memory = Database.in_memory(db)
     snapshot = Database.open(path, cached=False)
     yield memory, snapshot
@@ -83,7 +83,7 @@ def lubm_pair(tmp_path_factory):
     """(memory session, cold-snapshot session) over LUBM(2)."""
     db = generate_lubm(n_universities=2, seed=7, spiral_length=8)
     path = tmp_path_factory.mktemp("equiv") / "lubm.snap"
-    SnapshotWriter(path, cold_threshold=1e9).write(db)
+    write_snapshot(db, path)
     memory = Database.in_memory(db)
     snapshot = Database.open(path, cached=False)
     yield memory, snapshot
@@ -148,7 +148,7 @@ class TestTightBudgetColumn:
     def movie_budgeted(self, tmp_path_factory):
         db = example_movie_database()
         path = tmp_path_factory.mktemp("budget") / "movies.snap"
-        SnapshotWriter(path, cold_threshold=1e9).write(db)
+        write_snapshot(db, path)
         memory = Database.in_memory(db)
         budgeted = Database.open(
             path,
@@ -162,7 +162,7 @@ class TestTightBudgetColumn:
     def lubm_budgeted(self, tmp_path_factory):
         db = generate_lubm(n_universities=1, seed=7, spiral_length=8)
         path = tmp_path_factory.mktemp("budget") / "lubm.snap"
-        SnapshotWriter(path, cold_threshold=1e9).write(db)
+        write_snapshot(db, path)
         memory = Database.in_memory(db)
         budgeted = Database.open(
             path,
@@ -235,7 +235,7 @@ class TestKernelMatrix:
     def movie_sessions(self, tmp_path_factory):
         db = example_movie_database()
         path = tmp_path_factory.mktemp("kernels") / "movies.snap"
-        SnapshotWriter(path, cold_threshold=1e9).write(db)
+        write_snapshot(db, path)
         sessions = self._sessions_for(db, path)
         yield sessions
         for _, snapshot, budgeted in sessions.values():
@@ -246,7 +246,7 @@ class TestKernelMatrix:
     def lubm_sessions(self, tmp_path_factory):
         db = generate_lubm(n_universities=1, seed=7, spiral_length=8)
         path = tmp_path_factory.mktemp("kernels") / "lubm.snap"
-        SnapshotWriter(path, cold_threshold=1e9).write(db)
+        write_snapshot(db, path)
         sessions = self._sessions_for(db, path)
         yield sessions
         for _, snapshot, budgeted in sessions.values():
@@ -299,7 +299,7 @@ class TestOverlayColumn:
 
     def _sessions_for(self, db, tmp, name):
         base_path = tmp / f"{name}.snap"
-        SnapshotWriter(base_path, cold_threshold=1e9).write(db)
+        write_snapshot(db, base_path)
         retracts, adds = self._deltas(db)
         compacted_path = tmp / f"{name}-compacted.snap"
         editor = Database.edit(base_path)
@@ -386,8 +386,7 @@ class TestOneIdSpace:
         if kind == "memory":
             return Database.in_memory(db)
         path = tmp / f"{kind}.snap"
-        shards = 2 if kind == "sharded" else 0
-        SnapshotWriter(path, cold_threshold=1e9, shards=shards).write(db)
+        write_snapshot(db, path)
         if kind != "overlay":
             return Database.open(path, cached=False)
         session = Database.edit(path)
@@ -397,7 +396,7 @@ class TestOneIdSpace:
         return session
 
     @pytest.mark.parametrize(
-        "kind", ("memory", "snapshot", "sharded", "overlay")
+        "kind", ("memory", "snapshot", "overlay")
     )
     def test_store_ids_are_graph_indices(self, lubm, tmp_path, kind):
         session = self._session(kind, lubm, tmp_path)

@@ -8,20 +8,12 @@ from repro._deprecation import (
     deprecated_call,
     reset_deprecation_registry,
 )
-from repro.graph import GraphDatabase, example_movie_database
+from repro.graph import example_movie_database
 from repro.pipeline import PruningPipeline
-from repro.storage import write_snapshot
 from repro.store import TripleStore
 
 X1 = ("SELECT * WHERE { ?director directed ?movie . "
       "?director worked_with ?coworker . }")
-
-
-@pytest.fixture
-def movie_snapshot(tmp_path):
-    path = tmp_path / "movies.snap"
-    write_snapshot(example_movie_database(), path)
-    return path
 
 
 @pytest.fixture(autouse=True)
@@ -56,47 +48,6 @@ class TestWarnOnceRegistry:
             lambda: deprecated_call("k2", "gone"),
         ])
         assert len(caught) == 2
-
-
-class TestSnapshotShims:
-    def test_pipeline_from_snapshot_warns_once_and_works(
-        self, movie_snapshot
-    ):
-        caught, (first, second) = _count_deprecations([
-            lambda: PruningPipeline.from_snapshot(movie_snapshot),
-            lambda: PruningPipeline.from_snapshot(movie_snapshot),
-        ])
-        assert len(caught) == 1
-        assert "Database.open" in str(caught[0].message)
-        assert len(first.evaluate_full(X1).as_set()) == 2
-        assert len(second.evaluate_full(X1).as_set()) == 2
-
-    def test_triple_store_from_snapshot_warns_once_and_works(
-        self, movie_snapshot
-    ):
-        caught, (store, _) = _count_deprecations([
-            lambda: TripleStore.from_snapshot(movie_snapshot),
-            lambda: TripleStore.from_snapshot(movie_snapshot),
-        ])
-        assert len(caught) == 1
-        assert store.n_triples == 20
-
-    def test_graph_database_from_snapshot_warns_once_and_works(
-        self, movie_snapshot
-    ):
-        caught, (db, _) = _count_deprecations([
-            lambda: GraphDatabase.from_snapshot(movie_snapshot),
-            lambda: GraphDatabase.from_snapshot(movie_snapshot),
-        ])
-        assert len(caught) == 1
-        assert db.n_triples == 20
-
-    def test_internal_reader_path_does_not_warn(self, movie_snapshot):
-        caught, (store,) = _count_deprecations([
-            lambda: TripleStore._from_snapshot_reader(movie_snapshot),
-        ])
-        assert not caught
-        assert store.n_triples == 20
 
 
 class TestPipelineStoreKwarg:

@@ -220,8 +220,7 @@ class TestAskExplainSimulate:
         self, movie_snapshot, tmp_path
     ):
         cold = tmp_path / "cold.snap"
-        write_snapshot(example_movie_database(), cold,
-                       cold_threshold=1e9)
+        write_snapshot(example_movie_database(), cold)
         with Database.open(cold, cached=False) as db:
             db.simulate("SELECT * WHERE { ?d directed ?m . }")
             residency = db.stats().residency
@@ -251,14 +250,16 @@ class TestStats:
             assert stats.backend == "snapshot"
             assert stats.path == movie_snapshot
             assert stats.residency.on_disk_bytes > 0
-            assert stats.to_dict()["residency"]["hot_labels"] >= 0
+            assert stats.to_dict()["residency"]["cold_labels"] >= 0
 
     def test_residency_budget_reported(self, movie_snapshot):
         profile = ExecutionProfile(residency_budget=1)
         with Database.open(movie_snapshot, profile=profile,
                            cached=False) as db:
             # No query has run, so nothing enforced the budget yet:
-            # the open-time hot labels overshoot a 1-byte ceiling.
+            # labels promoted outside a query overshoot a 1-byte
+            # ceiling.
+            db.backend.graph.promote_all()
             stats = db.stats()
             assert stats.within_residency_budget is False
             assert stats.to_dict()["within_residency_budget"] is False
@@ -268,6 +269,7 @@ class TestStats:
         with Database.open(movie_snapshot, profile=profile,
                            cached=False) as db:
             unbudgeted = Database.open(movie_snapshot, cached=False)
+            db.backend.graph.promote_all()  # resident before the query
             assert (
                 db.query(X1).as_set()
                 == unbudgeted.query(X1).as_set()
@@ -287,6 +289,7 @@ class TestStats:
         profile = ExecutionProfile(residency_budget=1)
         with Database.open(movie_snapshot, profile=profile,
                            cached=False) as db:
+            db.backend.graph.promote_all()  # resident before the query
             stale = db.stats()
             assert stale.within_residency_budget is False
             db.query(X1)  # enforcement demotes down to the budget

@@ -69,16 +69,6 @@ class TestDbCompact:
         assert "applied +0/-0 triples" in output
         assert "20 triples" in output
 
-    def test_compact_cold_threshold_flag(self, movie_snap, tmp_path):
-        out_path = tmp_path / "cold.snap"
-        code, _ = run_cli([
-            "db", "compact", movie_snap, "-o", str(out_path),
-            "--cold-threshold", "1e9",
-        ])
-        assert code == 0
-        code, output = run_cli(["db", "info", str(out_path)])
-        assert code == 0
-
     def test_compact_missing_snapshot_exits_1(self, tmp_path):
         # Matches `db query` on a missing snapshot: a ReproError.
         code, _ = run_cli([

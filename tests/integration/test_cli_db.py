@@ -38,16 +38,7 @@ class TestDbBuild:
         assert code == 0
         assert out_path.exists()
         assert "20 triples" in output
-        assert "hot" in output and "cold" in output
-
-    def test_build_cold_threshold_flag(self, movie_nt, tmp_path):
-        out_path = tmp_path / "cold.snap"
-        code, output = run_cli([
-            "db", "build", movie_nt, "-o", str(out_path),
-            "--cold-threshold", "1e9",
-        ])
-        assert code == 0
-        assert "0 hot / 8 cold" in output
+        assert "8 predicates" in output
 
     def test_build_missing_input(self, tmp_path):
         code, _ = run_cli([
@@ -63,14 +54,15 @@ class TestDbInfo:
         assert code == 0
         assert "20 triples" in output
         assert "directed" in output
-        assert "Tier" in output
+        assert "Edges" in output
 
     def test_info_json(self, movie_snap):
         code, output = run_cli(["db", "info", movie_snap, "--json"])
         assert code == 0
         doc = json.loads(output)
         assert doc["n_triples"] == 20
-        assert doc["n_hot"] + doc["n_cold"] == doc["n_predicates"]
+        assert doc["version"] == 4
+        assert sum(i["n_edges"] for i in doc["labels"]) == 20
         assert {i["label"] for i in doc["labels"]} >= {"directed", "genre"}
 
     def test_info_on_garbage_errors(self, tmp_path):
@@ -108,10 +100,7 @@ class TestDbQuery:
 
     def test_query_cold_snapshot_promotes(self, movie_nt, tmp_path):
         snap = tmp_path / "cold.snap"
-        code, _ = run_cli([
-            "db", "build", movie_nt, "-o", str(snap),
-            "--cold-threshold", "1e9",
-        ])
+        code, _ = run_cli(["db", "build", movie_nt, "-o", str(snap)])
         assert code == 0
         # --prune routes through the SOI solver, which touches (and
         # promotes) exactly the two query labels; the engine-only path
@@ -128,10 +117,7 @@ class TestDbQuery:
 
     def test_query_with_budget_demotes(self, movie_nt, tmp_path):
         snap = tmp_path / "budget.snap"
-        code, _ = run_cli([
-            "db", "build", movie_nt, "-o", str(snap),
-            "--cold-threshold", "1e9",
-        ])
+        code, _ = run_cli(["db", "build", movie_nt, "-o", str(snap)])
         assert code == 0
         code, output = run_cli([
             "db", "query", str(snap), self.X1,

@@ -46,7 +46,7 @@ class TestDbVerify:
     def test_pristine_snapshot_passes(self, movie_snap):
         code, output = run_cli(["db", "verify", str(movie_snap)])
         assert code == 0
-        assert "format v2" in output
+        assert "format v4" in output
         assert "integrity bar CRC32C" in output
         assert "ok: all" in output
 
@@ -59,7 +59,6 @@ class TestDbVerify:
         assert code == 0
         report = json.loads(output)
         assert report["ok"] is True
-        assert report["checksummed"] is True
         assert report["sections"]
 
     def test_every_corruption_class_fails_verify(
@@ -92,15 +91,14 @@ class TestDbVerify:
         assert code == 1
         assert payload_case.section in output
 
-    def test_v1_snapshot_verifies_structurally(self, tmp_path):
-        from repro.storage.writer import SnapshotWriter
-
-        path = tmp_path / "v1.snap"
-        SnapshotWriter(path, version=1).write(example_movie_database())
+    def test_retired_format_is_an_error(self, movie_snap, tmp_path):
+        data = bytearray(movie_snap.read_bytes())
+        data[8:12] = (2).to_bytes(4, "little")  # a format-v2 header
+        path = tmp_path / "v2.snap"
+        path.write_bytes(bytes(data))
         code, output = run_cli(["db", "verify", str(path)])
-        assert code == 0
-        assert "structural only" in output
-        assert "v1 carries no checksums" in output
+        assert code == 1
+        assert output == ""  # the typed error goes to stderr
 
     def test_missing_file_is_an_error(self, tmp_path):
         code, _ = run_cli(["db", "verify", str(tmp_path / "no.snap")])
@@ -111,7 +109,7 @@ class TestDbInfoFormat:
     def test_info_reports_version_and_checksums(self, movie_snap):
         code, output = run_cli(["db", "info", str(movie_snap)])
         assert code == 0
-        assert "format: v2, checksums: per-section CRC32C" in output
+        assert "format: v4, checksums: per-section CRC32C" in output
 
     def test_info_json_reports_version(self, movie_snap):
         import json
@@ -121,8 +119,7 @@ class TestDbInfoFormat:
         )
         assert code == 0
         info = json.loads(output)
-        assert info["version"] == 2
-        assert info["checksummed"] is True
+        assert info["version"] == 4
 
 
 class TestPreemptableQuery:

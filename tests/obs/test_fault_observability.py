@@ -34,7 +34,7 @@ QUERY = (
 @pytest.fixture
 def snapshot(tmp_path):
     path = tmp_path / "movies.snap"
-    SnapshotWriter(path, cold_threshold=1.0).write(
+    SnapshotWriter(path).write(
         example_movie_database()
     )
     return path

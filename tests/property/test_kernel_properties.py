@@ -296,17 +296,13 @@ def string_patterns(draw, max_nodes=4, max_edges=6):
     return g
 
 
-@given(
-    string_patterns(), databases(), st.sampled_from(STRATEGIES),
-    st.sampled_from((0, 3)),
-)
+@given(string_patterns(), databases(), st.sampled_from(STRATEGIES))
 @settings(max_examples=25, deadline=None)
-def test_kernels_agree_after_midsolve_promotion(pattern, db, product, shards):
+def test_kernels_agree_after_midsolve_promotion(pattern, db, product):
     """All three kernels reach the in-memory fixpoint and trajectory
-    when every label starts cold on disk — in a single-file
-    (``shards=0``) or sharded snapshot — and is promoted on first
+    when every label starts cold on disk and is promoted on first
     touch mid-solve; for the batched kernel that appends freshly
-    decoded rows to the already-populated block set."""
+    adopted rows to the already-populated block set."""
     from repro.storage import TieredGraphView, write_snapshot
 
     options = SolverOptions(product=product)
@@ -315,9 +311,9 @@ def test_kernels_agree_after_midsolve_promotion(pattern, db, product, shards):
         expected = solve(soi, db, options)
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "graph.snap"
-        # cold_threshold far above 1.0: every label stays gap-encoded
-        # on disk, so each first touch is a promotion.
-        write_snapshot(db, path, cold_threshold=1e9, shards=shards)
+        # Every label starts on disk, so each first touch is a
+        # promotion.
+        write_snapshot(db, path)
         for kernel in KERNELS:
             view = TieredGraphView(path)
             assert view.residency().cold_labels == len(view.labels)

@@ -88,7 +88,7 @@ def test_budgeted_solve_trajectory_bit_identical(
     options = SolverOptions()
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "graph.snap"
-        write_snapshot(db, path, cold_threshold=1e9)  # all labels cold
+        write_snapshot(db, path)  # all labels start cold
         free = TieredGraphView(path)
         capped = TieredGraphView(path, residency_budget=budget)
         with use_kernel(kernel):
@@ -130,7 +130,7 @@ def test_budgeted_query_answers_bit_identical(
     expected = reference.query(query, mode="pruned").as_set()
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "graph.snap"
-        write_snapshot(db, path, cold_threshold=1e9)
+        write_snapshot(db, path)
         profile = ExecutionProfile(kernel=kernel, residency_budget=budget)
         with Database.open(path, profile=profile, cached=False) as capped:
             for mode in ("pruned", "full"):
@@ -150,7 +150,7 @@ def test_repeated_queries_churn_stably(pattern, db, budget):
     expected = Database.in_memory(db).query(query, mode="pruned").as_set()
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "graph.snap"
-        write_snapshot(db, path, cold_threshold=1e9)
+        write_snapshot(db, path)
         profile = ExecutionProfile(
             kernel="batched", residency_budget=budget
         )

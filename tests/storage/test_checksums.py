@@ -54,32 +54,20 @@ def snapshot(tmp_path):
 
 
 class TestSnapshotChecksumTable:
-    def test_new_snapshots_are_v2_and_checksummed(self, snapshot):
+    def test_new_snapshots_are_v4_and_checksummed(self, snapshot):
         with SnapshotReader(snapshot) as reader:
-            assert reader.version == 2
-            assert reader.checksummed
+            assert reader.version == 4
             report = reader.verify()
         assert report.ok
-        assert report.checksummed
         names = [s.section for s in report.sections]
         assert "header" in names
         assert "nodes dictionary" in names
-        assert "block table" in names
-        assert any(n.startswith("payload ") for n in names)
-
-    def test_v1_opt_out_still_readable(self, tmp_path):
-        path = tmp_path / "v1.snap"
-        SnapshotWriter(path, version=1).write(example_movie_database())
-        with SnapshotReader(path) as reader:
-            assert reader.version == 1
-            assert not reader.checksummed
-            report = reader.verify()
-        # structural fallback: still a full pass, lower bar
-        assert report.ok
-        assert not report.checksummed
-        assert all(
-            "structural" in s.detail for s in report.sections
-        )
+        assert "array table" in names
+        for array in ("row_nodes", "indptr", "indices"):
+            assert any(
+                n.startswith("payload ") and n.endswith(array)
+                for n in names
+            )
 
     def test_checksum_table_self_corruption_detected(self, snapshot):
         data = bytearray(snapshot.read_bytes())
@@ -105,36 +93,30 @@ class TestSnapshotChecksumTable:
             SnapshotReader(snapshot)
         assert exc_info.value.section == "nodes dictionary"
 
-    def test_payload_corruption_is_lazy(self, snapshot):
-        """A damaged payload opens fine; the first *access* raises,
-        and verify() reports exactly the damaged section."""
+    def test_payload_corruption_is_lazy(self, snapshot, tmp_path):
+        """A damaged array opens fine; the first *access* raises, and
+        verify() reports exactly the damaged array — for each of the
+        three arrays of a label direction."""
         with SnapshotReader(snapshot) as reader:
-            (label, direction), entry = sorted(reader._blocks.items())[0]
-            offset = entry.payload_off + entry.payload_len // 2
-        data = bytearray(snapshot.read_bytes())
-        data[offset] ^= 0xFF
-        snapshot.write_bytes(bytes(data))
-        with SnapshotReader(snapshot) as reader:  # opens: metadata ok
-            report = reader.verify()
-            assert not report.ok
-            assert report.corrupt_sections() == [
-                f"payload {label}/{direction}"
-            ]
-            accessor = (
-                reader.dense_matrix
-                if entry.encoding == 0 else reader.gap_matrix
-            )
-            with pytest.raises(SnapshotCorruptError, match="CRC32C"):
-                accessor(label, direction)
+            label, direction = sorted(reader._blocks)[0]
+            ranges = reader._array_ranges(label, direction)
+        for section, offset, length, _ in ranges:
+            data = bytearray(snapshot.read_bytes())
+            data[offset + length // 2] ^= 0xFF
+            damaged = tmp_path / "damaged.snap"
+            damaged.write_bytes(bytes(data))
+            with SnapshotReader(damaged) as reader:  # opens: metadata ok
+                report = reader.verify()
+                assert not report.ok
+                assert report.corrupt_sections() == [section]
+                with pytest.raises(SnapshotCorruptError, match="CRC32C"):
+                    reader.csr(label, direction)
 
     def test_verified_payloads_are_cached(self, snapshot):
         with SnapshotReader(snapshot) as reader:
-            (label, direction), entry = sorted(reader._blocks.items())[0]
-            accessor = (
-                reader.dense_matrix
-                if entry.encoding == 0 else reader.gap_matrix
-            )
-            accessor(label, direction)
+            label, direction = sorted(reader._blocks)[0]
+            reader.csr(label, direction)
             before = set(reader._verified)
-            accessor(label, direction)
+            assert (label, direction) in before
+            reader.csr(label, direction)
             assert set(reader._verified) == before

@@ -8,7 +8,6 @@ from repro.storage.format import (
     BLOCK_ENTRY,
     BlockEntry,
     HEADER,
-    HEADER_V2,
     Header,
     MAGIC,
     decode_terms,
@@ -22,8 +21,8 @@ class TestHeader:
     def _header(self) -> Header:
         return Header(
             n_nodes=10, n_predicates=3, n_triples=20, n_blocks=6,
-            nodes_off=88, nodes_len=40, preds_off=128, preds_len=24,
-            block_table_off=152,
+            nodes_off=96, nodes_len=40, preds_off=136, preds_len=24,
+            table_off=160, checksum_table_off=400,
         )
 
     def test_pack_unpack_roundtrip(self):
@@ -31,16 +30,17 @@ class TestHeader:
         assert Header.unpack(header.pack()) == header
 
     def test_pack_size_matches_struct(self):
-        assert len(self._header().pack()) == HEADER_V2.size
+        assert len(self._header().pack()) == HEADER.size
 
-    def test_v1_pack_size_matches_struct(self):
-        header = Header(
-            n_nodes=10, n_predicates=3, n_triples=20, n_blocks=6,
-            nodes_off=88, nodes_len=40, preds_off=128, preds_len=24,
-            block_table_off=152, version=1,
-        )
-        assert len(header.pack()) == HEADER.size
-        assert Header.unpack(header.pack()) == header
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_retired_version_rejected(self, version):
+        blob = bytearray(self._header().pack())
+        blob[8] = version  # version field, little-endian low byte
+        with pytest.raises(SnapshotError, match=(
+            f"format v{version} is no longer readable; "
+            "rebuild with `repro db build`"
+        )):
+            Header.unpack(bytes(blob))
 
     def test_bad_magic_rejected(self):
         blob = bytearray(self._header().pack())
@@ -62,28 +62,24 @@ class TestHeader:
 class TestBlockEntry:
     def test_roundtrip(self):
         entry = BlockEntry(
-            label_id=7, direction=1, encoding=0,
-            n_rows=100, n_edges=400, payload_off=4096, payload_len=800,
+            label_id=7, direction=1, n_rows=100, n_edges=400, offset=4096,
         )
         assert BlockEntry.unpack_from(entry.pack(), 0) == entry
 
     def test_entry_size(self):
-        assert BLOCK_ENTRY.size == 40
+        assert BLOCK_ENTRY.size == 32
+
+    def test_arrays_are_back_to_back(self):
+        entry = BlockEntry(0, 0, n_rows=3, n_edges=5, offset=64)
+        assert entry.arrays() == [
+            ("row_nodes", 64, 3), ("indptr", 88, 4), ("indices", 120, 5),
+        ]
+        assert entry.nbytes == 8 * (3 + 4 + 5)
 
     def test_bad_direction_rejected(self):
-        blob = bytearray(
-            BlockEntry(0, 0, 0, 1, 1, 0, 8).pack()
-        )
+        blob = bytearray(BlockEntry(0, 0, 1, 1, 8).pack())
         blob[4] = 9  # direction byte
         with pytest.raises(SnapshotError, match="direction"):
-            BlockEntry.unpack_from(bytes(blob), 0)
-
-    def test_bad_encoding_rejected(self):
-        blob = bytearray(
-            BlockEntry(0, 0, 0, 1, 1, 0, 8).pack()
-        )
-        blob[5] = 9  # encoding byte
-        with pytest.raises(SnapshotError, match="encoding"):
             BlockEntry.unpack_from(bytes(blob), 0)
 
 

@@ -15,13 +15,16 @@ from repro.store.statistics import StoreStatistics
 
 
 @pytest.fixture(scope="module")
-def snapshot_path(tmp_path_factory):
+def graph():
     from repro.workloads import generate_lubm
 
+    return generate_lubm(n_universities=2, seed=3, spiral_length=10)
+
+
+@pytest.fixture(scope="module")
+def snapshot_path(graph, tmp_path_factory):
     path = tmp_path_factory.mktemp("lazy") / "lubm.snap"
-    write_snapshot(
-        generate_lubm(n_universities=2, seed=3, spiral_length=10), path
-    )
+    write_snapshot(graph, path)
     return path
 
 
@@ -37,14 +40,12 @@ def lazy(reader):
 
 
 @pytest.fixture
-def eager(reader):
-    """Ground truth: the eager decode-everything store.  Built from
-    the same reader, so predicate/node ids are directly comparable."""
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return TripleStore.from_snapshot(reader)
+def eager(graph):
+    """Ground truth: the in-memory store of the graph the snapshot was
+    written from.  It uses the snapshot's id space (node ids are the
+    graph's indices, predicate ids the sorted labels), so ids are
+    directly comparable."""
+    return TripleStore.from_graph_database(graph)
 
 
 class TestColdStart:

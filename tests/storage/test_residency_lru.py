@@ -6,7 +6,7 @@ import pytest
 from repro.core import compile_query, solve
 from repro.bitvec import use_kernel
 from repro.errors import GraphError
-from repro.storage import SnapshotWriter, TieredGraphView, write_snapshot
+from repro.storage import TieredGraphView, write_snapshot
 from repro.workloads import generate_lubm
 
 QUERY = """
@@ -26,7 +26,7 @@ def small_lubm():
 @pytest.fixture(scope="module")
 def cold_snapshot(small_lubm, tmp_path_factory):
     path = tmp_path_factory.mktemp("lru") / "cold.snap"
-    SnapshotWriter(path, cold_threshold=1e9).write(small_lubm)
+    write_snapshot(small_lubm, path)
     return path
 
 
@@ -90,27 +90,11 @@ class TestDemotion:
         view.enforce_budget(0)
         assert not view.is_resident("advisor")
         again = matrices.get("advisor")
-        assert again is not first  # re-decoded, not the dropped pair
-        assert view.residency().promotions == 2  # decode counted twice
+        assert again is not first  # re-adopted, not the dropped pair
+        assert view.residency().promotions == 2  # adoption counted twice
         assert again.forward.summary == first.forward.summary
         for node, row in first.forward.rows.items():
             assert again.forward.rows[node] == row
-
-    def test_dense_labels_demote_and_rematerialize(
-        self, small_lubm, tmp_path
-    ):
-        path = tmp_path / "hot.snap"
-        SnapshotWriter(path, cold_threshold=0.0).write(small_lubm)
-        hot = TieredGraphView(path)
-        report = hot.residency()
-        assert report.hot_labels == report.n_labels
-        hot.enforce_budget(0)
-        assert hot.resident_bytes() == 0
-        assert hot.residency().hot_labels == 0  # none resident now
-        pair = hot.matrices().get("advisor")  # zero-copy re-wrap
-        assert pair is not None
-        assert hot.is_resident("advisor")
-        assert hot.residency().promotions == 0  # no gap decode happened
 
     def test_midsolve_promotion_protects_needed_label(self, view):
         # A budget below any single label: every promotion overshoots,
@@ -159,7 +143,7 @@ class TestDemoteWhileBatched:
                     assert result.total_bits() == baselines[key]
         report = view.residency()
         assert report.demotions >= 3
-        assert report.promotions > report.n_labels - report.hot_labels
+        assert report.promotions > report.n_labels
 
     def test_batched_block_does_not_grow_across_churn(self, view):
         """Compaction keeps the shared block bounded: after each

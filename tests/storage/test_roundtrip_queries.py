@@ -1,7 +1,7 @@
 """The round-trip invariant (acceptance criterion of the storage PR):
 
 For every workload query, the answers computed over a **reopened
-snapshot with the cold tier enabled** must be identical to the answers
+snapshot, labels promoted on first touch,** must be identical to the answers
 over the freshly-ingested in-memory database — full evaluation and
 pruned evaluation alike — on both the LUBM workload and the Fig. 1
 movie database.
@@ -9,9 +9,10 @@ movie database.
 
 import pytest
 
+from repro.api import Database
 from repro.graph.database import example_movie_database
 from repro.pipeline import PruningPipeline
-from repro.storage import SnapshotWriter
+from repro.storage import write_snapshot
 from repro.workloads import LUBM_QUERIES, generate_lubm
 
 #: Queries over the Fig. 1 movie database (the paper's running
@@ -53,10 +54,11 @@ MOVIE_QUERIES = {
 
 
 def _cold_pipeline(db, tmp_path, profile="virtuoso-like"):
-    """Snapshot the db with everything forced cold, then reopen."""
+    """Snapshot the db, then reopen it: every label starts cold."""
     path = tmp_path / "roundtrip.snap"
-    SnapshotWriter(path, cold_threshold=1e9).write(db)
-    return PruningPipeline.from_snapshot(path, profile=profile)
+    write_snapshot(db, path)
+    backend = Database.open(path, cached=False).backend
+    return PruningPipeline(profile=profile, backend=backend)
 
 
 @pytest.fixture(scope="module")

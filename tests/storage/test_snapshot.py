@@ -1,9 +1,12 @@
-"""Writer/reader round trips over the Fig. 1 movie database and
-synthetic graphs that force both encodings."""
+"""Writer/reader round trips over the Fig. 1 movie database and the
+LUBM and DBpedia workloads."""
 
+import numpy as np
 import pytest
 
-from repro.errors import SnapshotError
+from repro.api import Database
+from repro.bitvec.matrix import AdjacencyMatrix
+from repro.errors import SnapshotCorruptError, SnapshotError
 from repro.graph.database import (
     GraphDatabase,
     Literal,
@@ -11,10 +14,17 @@ from repro.graph.database import (
 )
 from repro.storage import (
     SnapshotReader,
-    SnapshotWriter,
+    TieredGraphView,
     write_snapshot,
 )
-from repro.store import TripleStore
+from repro.storage.checksum import crc32c
+from repro.storage.format import (
+    BlockEntry,
+    Header,
+    pack_checksum_table,
+)
+from repro.store import LazySnapshotStore, TripleStore
+from repro.workloads import generate_dbpedia, generate_lubm
 
 
 @pytest.fixture
@@ -38,26 +48,7 @@ class TestWriter:
         assert report.n_triples == db.n_triples
         assert report.n_nodes == db.n_nodes
         assert report.n_predicates == len(db.labels)
-        assert report.n_hot + report.n_cold == len(db.labels)
         assert report.file_bytes == (tmp_path / "m.snap").stat().st_size
-
-    def test_threshold_zero_forces_all_hot(self, tmp_path):
-        db = example_movie_database()
-        report = SnapshotWriter(
-            tmp_path / "hot.snap", cold_threshold=0.0
-        ).write(db)
-        assert report.n_cold == 0
-
-    def test_huge_threshold_forces_all_cold(self, tmp_path):
-        db = example_movie_database()
-        report = SnapshotWriter(
-            tmp_path / "cold.snap", cold_threshold=1e9
-        ).write(db)
-        assert report.n_hot == 0
-
-    def test_negative_threshold_rejected(self, tmp_path):
-        with pytest.raises(SnapshotError):
-            SnapshotWriter(tmp_path / "x.snap", cold_threshold=-1)
 
     def test_empty_database(self, tmp_path):
         path = tmp_path / "empty.snap"
@@ -139,126 +130,173 @@ class TestReader:
         with SnapshotReader(movie_snapshot) as reader:
             info = reader.info()
             assert info.n_triples == 20
-            assert info.n_hot + info.n_cold == info.n_predicates
+            assert info.version == 4
             assert {i.label for i in info.labels} == set(reader.labels())
+            assert sum(i.n_edges for i in info.labels) == 20
             doc = info.to_dict()
             assert doc["n_triples"] == 20
             assert len(doc["labels"]) == info.n_predicates
 
-    def test_dense_matrix_matches_in_memory(self, tmp_path):
+    def _assert_csr_matches(self, path, direction):
         db = example_movie_database()
-        path = tmp_path / "hot.snap"
-        SnapshotWriter(path, cold_threshold=0.0).write(db)
-        pair = db.matrices()["directed"]
+        expected_matrix = getattr(db.matrices()["directed"], direction)
         with SnapshotReader(path) as reader:
-            loaded = reader.dense_matrix("directed", "forward")
-            assert loaded.n_edges == pair.forward.n_edges
-            assert loaded.summary == pair.forward.summary
-            for node, row in pair.forward.rows.items():
-                assert loaded.rows[node] == row
+            loaded = reader.csr("directed", direction)
+            for got, want in zip(loaded, expected_matrix._csr()):
+                assert got.dtype == np.int64
+                assert not got.flags.writeable
+                np.testing.assert_array_equal(got, want)
+            adopted = AdjacencyMatrix.from_csr(db.n_nodes, *loaded)
+            assert adopted.n_edges == expected_matrix.n_edges
+            assert adopted.summary == expected_matrix.summary
+            del loaded, adopted
 
-    def test_gap_matrix_matches_in_memory(self, tmp_path):
-        db = example_movie_database()
-        path = tmp_path / "cold.snap"
-        SnapshotWriter(path, cold_threshold=1e9).write(db)
-        pair = db.matrices()["directed"]
-        with SnapshotReader(path) as reader:
-            loaded = reader.gap_matrix("directed", "backward")
-            promoted = loaded.to_adjacency()
-            assert promoted.n_edges == pair.backward.n_edges
-            for node, row in pair.backward.rows.items():
-                assert promoted.rows[node] == row
+    def test_forward_csr_matches_in_memory(self, movie_snapshot):
+        self._assert_csr_matches(movie_snapshot, "forward")
+
+    def test_backward_csr_matches_in_memory(self, movie_snapshot):
+        self._assert_csr_matches(movie_snapshot, "backward")
+
+    def test_unknown_label_raises(self, movie_snapshot):
+        with SnapshotReader(movie_snapshot) as reader:
+            with pytest.raises(SnapshotError, match="no forward block"):
+                reader.csr("no-such-label", "forward")
 
     def test_corrupt_row_node_id_raises_snapshot_error(self, tmp_path):
-        """Out-of-range node ids in a block must fail as SnapshotError,
+        """Out-of-range row node ids must fail as SnapshotCorruptError,
         not index silently (negative wrap) or as a bare NumPy error.
 
-        Uses a v1 snapshot so the structural range check is what fires;
-        on v2 files the payload CRC intercepts the same corruption first
-        (covered by test_corrupt_payload_fails_crc_on_v2).
+        The array's CRC32C is recomputed after the edit, so the
+        structural range check is what fires; an edit under a stale
+        CRC is covered by test_corrupt_payload_fails_crc_on_v4.
         """
-        import numpy as np
+        path = tmp_path / "movies.snap"
+        write_snapshot(example_movie_database(), path)
+        blob = bytes(path.read_bytes())
+        with SnapshotReader(path) as reader:
+            entry = BlockEntry.unpack_from(blob, reader._header.table_off)
+            label = reader.predicate_terms()[entry.label_id]
+            _, start, length, slot = reader._array_ranges(
+                label, "forward"
+            )[0]
+            crcs = list(reader._crcs)
+            table_off = reader._header.checksum_table_off
+            n_nodes = reader.n_nodes
+        assert entry.n_rows > 0 and length == 8 * entry.n_rows
+        # -1 in the first slot and n_nodes in the last keep the ids
+        # strictly increasing, so only the range check can object
+        for bad_id, at in ((-1, start), (n_nodes, start + length - 8)):
+            corrupted = bytearray(blob[:table_off])
+            corrupted[at:at + 8] = np.int64(bad_id).tobytes()
+            crcs[slot] = crc32c(bytes(corrupted[start:start + length]))
+            bad_path = tmp_path / f"bad{bad_id}.snap"
+            bad_path.write_bytes(
+                bytes(corrupted) + pack_checksum_table(crcs)
+            )
+            with SnapshotReader(bad_path) as reader:
+                with pytest.raises(
+                    SnapshotCorruptError, match="out of range"
+                ):
+                    reader.csr(label, "forward")
 
-        from repro.storage.format import BLOCK_ENTRY, BlockEntry, Header
-
-        db = example_movie_database()
-        path = tmp_path / "hot.snap"
-        SnapshotWriter(path, cold_threshold=0.0, version=1).write(db)
+    def test_corrupt_payload_fails_crc_on_v4(self, tmp_path):
+        """On current-format files the array checksum catches a flipped
+        row node id before the structural check sees it."""
+        path = tmp_path / "movies.snap"
+        write_snapshot(example_movie_database(), path)
         blob = bytearray(path.read_bytes())
         header = Header.unpack(bytes(blob))
-        entry = BlockEntry.unpack_from(bytes(blob), header.block_table_off)
+        entry = BlockEntry.unpack_from(bytes(blob), header.table_off)
         assert entry.n_rows > 0
-        # overwrite the first row node id of the first block
         for bad_id in (-1, header.n_nodes):
             corrupted = bytearray(blob)
-            corrupted[entry.payload_off:entry.payload_off + 8] = (
+            corrupted[entry.offset:entry.offset + 8] = (
                 np.int64(bad_id).tobytes()
             )
             bad_path = tmp_path / f"bad{bad_id}.snap"
             bad_path.write_bytes(bytes(corrupted))
             with SnapshotReader(bad_path) as reader:
                 label = reader.predicate_terms()[entry.label_id]
-                with pytest.raises(SnapshotError, match="out of range"):
-                    reader.dense_matrix(label, "forward")
-        assert BLOCK_ENTRY.size == 40  # layout assumption of the patch
+                with pytest.raises(SnapshotCorruptError, match="CRC32C"):
+                    reader.csr(label, "forward")
 
-    def test_corrupt_payload_fails_crc_on_v2(self, tmp_path):
-        """On current-format files the payload checksum catches a
-        flipped row node id before the structural decoder sees it."""
-        import numpy as np
 
-        from repro.errors import SnapshotCorruptError
-        from repro.storage.format import BlockEntry, Header
+class TestRoundTripIdentity:
+    """The file is the CSR: reopened arrays equal the in-memory ones,
+    are views into the mapping, and a write is a pure function of the
+    graph."""
 
-        db = example_movie_database()
-        path = tmp_path / "hot.snap"
-        SnapshotWriter(path, cold_threshold=0.0).write(db)
-        blob = bytearray(path.read_bytes())
-        header = Header.unpack(bytes(blob))
-        entry = BlockEntry.unpack_from(bytes(blob), header.block_table_off)
-        blob[entry.payload_off:entry.payload_off + 8] = (
-            np.int64(header.n_nodes).tobytes()
-        )
-        bad_path = tmp_path / "bad.snap"
-        bad_path.write_bytes(bytes(blob))
-        with SnapshotReader(bad_path) as reader:
-            label = reader.predicate_terms()[entry.label_id]
-            with pytest.raises(SnapshotCorruptError, match="CRC"):
-                reader.dense_matrix(label, "forward")
+    @pytest.fixture(
+        scope="class",
+        params=["lubm2", "dbpedia1"],
+    )
+    def graph(self, request):
+        if request.param == "lubm2":
+            return generate_lubm(n_universities=2, seed=7)
+        return generate_dbpedia(scale=1, seed=7)
 
-    def test_wrong_encoding_accessor_raises(self, tmp_path):
-        db = example_movie_database()
-        path = tmp_path / "hot.snap"
-        SnapshotWriter(path, cold_threshold=0.0).write(db)
+    def test_reopened_csr_identical_and_adopted(self, graph, tmp_path):
+        path = tmp_path / "graph.snap"
+        write_snapshot(graph, path)
+        matrices = graph.matrices()
         with SnapshotReader(path) as reader:
-            with pytest.raises(SnapshotError, match="dense"):
-                reader.gap_matrix("directed", "forward")
+            mapping = np.frombuffer(reader._mm, dtype=np.uint8)
+            for label in sorted(graph.labels):
+                for direction in ("forward", "backward"):
+                    loaded = reader.csr(label, direction)
+                    expected = getattr(matrices[label], direction)._csr()
+                    for got, want in zip(loaded, expected):
+                        np.testing.assert_array_equal(got, want)
+                        assert np.shares_memory(got, mapping)
+            del mapping, loaded
+
+    def test_promoted_matrix_adopts_the_views(self, graph, tmp_path):
+        path = tmp_path / "graph.snap"
+        write_snapshot(graph, path)
+        view = TieredGraphView(path)
+        mapping = np.frombuffer(view.reader._mm, dtype=np.uint8)
+        label = sorted(graph.labels)[0]
+        pair = view.matrices()[label]
+        for array in pair.forward._csr() + pair.backward._csr():
+            assert np.shares_memory(array, mapping)
+
+    def test_two_writes_byte_identical(self, graph, tmp_path):
+        a, b = tmp_path / "a.snap", tmp_path / "b.snap"
+        write_snapshot(graph, a)
+        write_snapshot(graph, b)
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestConstructors:
-    def test_graph_database_from_snapshot(self, movie_snapshot):
+    """Snapshot sessions open through Database.open; the join-engine
+    store is a LazySnapshotStore over the same reader."""
+
+    def test_database_open_materializes_the_graph(self, movie_snapshot):
         db = example_movie_database()
-        loaded = GraphDatabase.from_snapshot(movie_snapshot)
+        view = Database.open(movie_snapshot, cached=False).backend.graph
+        loaded = view.to_graph_database()
         assert set(loaded.triples()) == set(db.triples())
         assert loaded.n_literals == db.n_literals
         # node ids are adopted from the snapshot dictionary
         for i in range(db.n_nodes):
-            assert loaded.node_name(i) == db.node_name(i)
+            assert view.node_name(i) == db.node_name(i)
 
-    def test_triple_store_from_snapshot(self, movie_snapshot):
+    def test_lazy_store_matches_direct_store(self, movie_snapshot):
         db = example_movie_database()
         direct = TripleStore.from_graph_database(db)
-        loaded = TripleStore.from_snapshot(movie_snapshot)
-        assert loaded.n_triples == direct.n_triples
-        assert set(loaded.triples()) == set(direct.triples())
+        with SnapshotReader(movie_snapshot) as reader:
+            loaded = LazySnapshotStore(reader)
+            assert loaded.n_triples == direct.n_triples
+            assert set(loaded.triples()) == set(direct.triples())
 
     def test_triple_store_accepts_open_reader(self, movie_snapshot):
         with SnapshotReader(movie_snapshot) as reader:
-            loaded = TripleStore.from_snapshot(reader)
-        assert loaded.n_triples == 20
+            loaded = LazySnapshotStore(reader)
+            assert loaded.n_triples == 20
 
     def test_store_lookups_work_after_load(self, movie_snapshot):
-        store = TripleStore.from_snapshot(movie_snapshot)
+        store = Database.open(movie_snapshot, cached=False).backend \
+            .triple_store()
         assert store.contains("B. De Palma", "directed",
                               "Mission: Impossible")
         assert not store.contains("B. De Palma", "directed", "Goldfinger")

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import compile_query, solve
 from repro.errors import GraphError
-from repro.storage import SnapshotWriter, TieredGraphView, write_snapshot
+from repro.storage import TieredGraphView, write_snapshot
 from repro.workloads import generate_lubm
 
 
@@ -94,7 +94,7 @@ class TestPromotion:
         lubm_view.promote_all()
         report = lubm_view.residency()
         assert report.cold_labels == 0
-        assert report.promotions == report.n_labels - report.hot_labels
+        assert report.promotions == report.n_labels
 
     def test_promoted_matrices_equal_in_memory(self, small_lubm, lubm_view):
         for label, pair in small_lubm.matrices().items():
@@ -131,14 +131,14 @@ class TestResidency:
             == lubm_view.reader.path.stat().st_size
         )
 
-    def test_hot_snapshot_is_resident_at_open(self, small_lubm, tmp_path):
-        path = tmp_path / "hot.snap"
-        SnapshotWriter(path, cold_threshold=0.0).write(small_lubm)
-        view = TieredGraphView(path)
-        report = view.residency()
-        assert report.cold_labels == 0
-        assert report.hot_labels == report.n_labels
-        assert report.resident_bytes > 0
+    def test_promotion_adopts_the_file_arrays(self, lubm_view):
+        """Resident bytes after a promotion are exactly the label's
+        array bytes on disk: the views are adopted, not copied."""
+        lubm_view.matrices().get("advisor")
+        assert (
+            lubm_view.residency().resident_bytes
+            == lubm_view.reader.payload_bytes("advisor")
+        )
 
 
 class TestSolverOnView:
@@ -153,12 +153,13 @@ class TestSolverOnView:
     def test_solve_identical_hot_cold_and_memory(
         self, small_lubm, tmp_path
     ):
-        hot_path = tmp_path / "hot.snap"
-        cold_path = tmp_path / "cold.snap"
-        SnapshotWriter(hot_path, cold_threshold=0.0).write(small_lubm)
-        SnapshotWriter(cold_path, cold_threshold=1e9).write(small_lubm)
-        hot = TieredGraphView(hot_path)
-        cold = TieredGraphView(cold_path)
+        """A view promoted in full up front (hot) and one promoting
+        on first touch (cold) solve exactly like the in-memory graph."""
+        path = tmp_path / "lubm.snap"
+        write_snapshot(small_lubm, path)
+        hot = TieredGraphView(path)
+        hot.promote_all()
+        cold = TieredGraphView(path)
         for branch in compile_query(self.QUERY):
             expected = solve(branch.soi, small_lubm).to_relation()
             assert solve(branch.soi, hot).to_relation() == expected

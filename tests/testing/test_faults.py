@@ -42,9 +42,13 @@ class TestCorruptionDetection:
         names = {c.name for c in corruption_cases(snapshot)}
         assert {
             "header", "nodes-dictionary", "predicates-dictionary",
-            "block-table", "checksum-table", "truncation",
+            "array-table", "checksum-table", "truncation",
         } <= names
-        assert any(n.startswith("payload-") for n in names)
+        for array in ("row_nodes", "indptr", "indices"):
+            assert any(
+                n.startswith("payload-") and n.endswith(array)
+                for n in names
+            )
 
     def test_all_injected_corruptions_detected(self, snapshot, tmp_path):
         """The 100% bar: every case either refuses to open or fails
@@ -67,10 +71,12 @@ class TestCorruptionDetection:
                 )
             target.unlink()
 
-    def test_cases_require_v2(self, tmp_path):
-        path = tmp_path / "v1.snap"
-        SnapshotWriter(path, version=1).write(example_movie_database())
-        with pytest.raises(ValueError, match="v2"):
+    def test_cases_require_current_format(self, snapshot, tmp_path):
+        data = bytearray(snapshot.read_bytes())
+        data[8:12] = (2).to_bytes(4, "little")  # a format-v2 header
+        path = tmp_path / "v2.snap"
+        path.write_bytes(bytes(data))
+        with pytest.raises(SnapshotError, match="no longer readable"):
             corruption_cases(path)
 
     # the snapshot fixture is only ever read; each example writes its
@@ -85,7 +91,7 @@ class TestCorruptionDetection:
     ):
         """Any single bit flip anywhere in the file is either detected
         (open/verify/access) or provably harmless is not an option —
-        v2 checksums cover every byte up to the final CRC word."""
+        the checksums cover every byte up to the final CRC word."""
         import random
 
         data = bytearray(snapshot.read_bytes())

@@ -158,6 +158,31 @@ class TestBuildOnceOpenMany:
         view2 = open_lubm(tmp_path, **self.CONFIG)
         assert view2.n_triples == db.n_triples
 
+    def test_stale_format_cache_is_not_reused(self, tmp_path):
+        """A cache file a retired writer left under the old,
+        version-less name must not shadow a current build."""
+        from repro.api import Database
+        from repro.storage import write_snapshot
+        from repro.storage.format import VERSION
+
+        path = lubm_snapshot_path(tmp_path, LUBMConfig(**self.CONFIG))
+        assert path.name.endswith(f".v{VERSION}.snap")
+        stale = path.with_name(path.name.replace(f".v{VERSION}", ""))
+        write_snapshot(generate_lubm(**self.CONFIG), stale)
+        data = bytearray(stale.read_bytes())
+        data[8:12] = (2).to_bytes(4, "little")  # a format-v2 header
+        stale.write_bytes(bytes(data))
+
+        built = build_lubm_snapshot(tmp_path, **self.CONFIG)
+        assert built == path != stale
+        db = Database.open(built, cached=False)
+        try:
+            assert db.stats().n_triples == generate_lubm(
+                **self.CONFIG
+            ).n_triples
+        finally:
+            db.close()
+
     def test_config_and_overrides_exclusive(self, tmp_path):
         with pytest.raises(WorkloadError):
             build_lubm_snapshot(tmp_path, LUBMConfig(), seed=3)

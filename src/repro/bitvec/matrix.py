@@ -17,8 +17,8 @@ A dense layout is derived on request and then cached: a dict from
 node index to a :class:`Bitset` row, the rows being views into one
 contiguous ``(n_rows, n_words)`` ``uint64`` block
 (:meth:`AdjacencyMatrix.pack`).  The ``"reference"`` and ``"batched"``
-kernels, the gap encoder, overlay rebuilds and the retained-triples
-specification read it.  Snapshot labels arrive as CSR
+kernels, the gap encoder and the retained-triples specification read
+it.  Snapshot labels arrive as CSR
 (:meth:`AdjacencyMatrix.from_csr` adopts the file's arrays); matrices
 that arrive dense — gap decoding, edge-by-edge construction through
 :meth:`AdjacencyMatrix.add` — derive their CSR from the block on their

@@ -15,7 +15,12 @@ Per construct:
   surrogates ``v_Q2`` with ``v_Q2 <= v``; optional-only occurrences on
   both sides are renamed apart with no interdependency (the
   syntactically-closest rule falls out of compiling bottom-up:
-  nested optionals chain ``z_R3 <= z_R2 <= z``).
+  nested optionals chain ``z_R3 <= z_R2 <= z``).  A variable that is
+  mandatory on the left but occurs in the optional side only inside a
+  nested optional, with no mandatory occurrence in between (a
+  non-well-designed nesting), gets no copy inequality: anchoring it
+  would prune the inner matches whose failure to join decides the
+  outer OPTIONAL, and lose solutions on the pruned store.
 * **FILTER** — ignored (dropping a filter only enlarges the
   overapproximation; sound).
 * **UNION** — must be normalized away first (Prop. 3); use
@@ -204,11 +209,11 @@ def _compile_left_join(
         opt.setdefault(key, []).append(vid)
 
     for key, vids in right.opt.items():
-        if key in left.mand:
-            # Only surrogates without a closer mandatory occurrence
-            # inside the right operand get anchored here.
-            for surrogate in vids:
-                anchor(surrogate, left.mand[key])
+        # Any closer mandatory occurrence has anchored these already.
+        # One it has not is a non-well-designed occurrence: its inner
+        # match may conflict with the left's binding, and that failed
+        # join keeps the bare left solution, so it stays free and its
+        # triples survive pruning.
         opt.setdefault(key, []).extend(vids)
     return Fragment(mand=mand, opt=opt, anchored=anchored)
 

@@ -256,7 +256,8 @@ class PruningPipeline:
         query = self.parse(query)
         tracer = current_tracer()
         start = time.perf_counter()
-        compiled = compile_query(query)
+        with tracer.span("compile"):
+            compiled = compile_query(query)
         results: List[SolverResult] = []
         t_prior = 0.0
         start_branch = 0

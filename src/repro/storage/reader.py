@@ -289,7 +289,10 @@ class SnapshotReader:
                 f"({end} > {len(self._mm)})",
                 section=section,
             )
-        actual = crc32c(self._mm[start:end])
+        # A view, not a copy; released before returning, or the open
+        # export would keep close() from unmapping the file.
+        with memoryview(self._mm)[start:end] as view:
+            actual = crc32c(view)
         expected = self._crcs[crc_index]
         if actual != expected:
             raise SnapshotCorruptError(

@@ -34,7 +34,7 @@ raises :class:`~repro.errors.StoreError`.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, Optional, Set, Tuple
+from typing import FrozenSet, Iterator, Optional, Set, Tuple
 
 import numpy as np
 
@@ -44,19 +44,6 @@ from repro.rdf.dictionary import TermDictionary
 from repro.store.triple_store import IdTriple, TripleStore
 
 __all__ = ["LazySnapshotStore"]
-
-
-def _index(keys: np.ndarray, values: np.ndarray) -> Dict[int, Set[int]]:
-    """``key -> set(values)`` over two columns sorted by key."""
-    if keys.size == 0:
-        return {}
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    bounds = np.append(starts, keys.size).tolist()
-    members = values.tolist()
-    return {
-        key: set(members[lo:hi])
-        for key, lo, hi in zip(keys[starts].tolist(), bounds, bounds[1:])
-    }
 
 
 class LazySnapshotStore(TripleStore):
@@ -91,8 +78,7 @@ class LazySnapshotStore(TripleStore):
 
     def _ensure(self, p: int) -> None:
         """Fill predicate ``p``'s pso/pos indexes from its forward
-        arrays: they are the label's ``(s, o)`` columns sorted by
-        subject; one stable sort by object gives the reverse index, so
+        arrays (the label's ``(s, o)`` columns sorted by subject), so
         the backward arrays are never read for the join engine."""
         if p in self._filled:
             return
@@ -100,10 +86,7 @@ class LazySnapshotStore(TripleStore):
             return
         label = self.predicates.decode(p)
         rows, indptr, objects = self._reader.csr(label, "forward")
-        subjects = np.repeat(rows, np.diff(indptr))
-        by_object = np.argsort(objects, kind="stable")
-        self._pso[p] = _index(subjects, objects)
-        self._pos[p] = _index(objects[by_object], subjects[by_object])
+        self._fill_columns(p, np.repeat(rows, np.diff(indptr)), objects)
         self._filled.add(p)
         self.fill_count += 1
         registry().counter("join_index_fills_total").inc()

@@ -19,7 +19,7 @@ The solver-facing view (:class:`OverlayGraphView`) keeps per-label
 adjacency current the same way :class:`~repro.storage.TieredGraphView`
 keeps residency current: it is one long-lived object (the pruning
 pipeline identity-checks it) whose matrix mapping serves *clean*
-labels zero-copy from the base and rebuilds *dirty* labels (base rows
+labels zero-copy from the base and rebuilds *dirty* labels (base edges
 minus retractions plus additions) on first touch after a mutation.
 Every mutation batch bumps an **epoch** and stamps the touched labels;
 :meth:`OverlayGraphView.changed_since` is the contract the incremental
@@ -38,7 +38,9 @@ from __future__ import annotations
 from itertools import chain
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.bitvec import Bitset, LabelMatrixPair
+import numpy as np
+
+from repro.bitvec import AdjacencyMatrix, Bitset, LabelMatrixPair
 from repro.errors import GraphError, StoreError
 from repro.graph.database import Literal
 from repro.obs.metrics import registry
@@ -49,6 +51,14 @@ from repro.store.triple_store import IdTriple, NameTriple, TripleStore
 __all__ = ["OverlayBackend", "OverlayGraphView", "OverlayTripleStore"]
 
 IdPair = Tuple[int, int]
+
+
+def _edge_keys(edges: Set[IdPair], n: int) -> np.ndarray:
+    """``s * n + o`` of every ``(s, o)`` pair, as int64."""
+    flat = np.fromiter(
+        chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges)
+    )
+    return flat[0::2] * n + flat[1::2]
 
 
 class OverlayMatrices:
@@ -324,19 +334,33 @@ class OverlayGraphView:
     # -- dirty-pair rebuild ------------------------------------------------
 
     def _build_pair(self, label: str) -> LabelMatrixPair:
-        pair = LabelMatrixPair(self.n_nodes)
-        retracted = self._retracts.get(label, ())
+        """The merged pair of a dirty label, built from edge columns:
+        the base's sorted ``(s, o)`` columns as ``s * n + o`` keys,
+        retractions masked out, additions merged in, and the backward
+        side from one sort of the transposed keys."""
+        n = self.n_nodes
+        keys = np.empty(0, dtype=np.int64)
         if label in self._base_labels:
             base_pair = self._base_matrices().get(label)
             if base_pair is not None:
-                rows = base_pair.forward.rows
-                for s in rows:
-                    for d in rows[s].iter_ones().tolist():
-                        if (s, d) not in retracted:
-                            pair.add_edge(s, d)
-        for s, d in self._adds.get(label, ()):
-            pair.add_edge(s, d)
-        pair.pack()
+                subjects, objects = base_pair.edge_columns()
+                keys = subjects * n + objects
+        retracted = self._retracts.get(label)
+        if retracted:
+            keys = keys[~np.isin(keys, _edge_keys(retracted, n))]
+        added = self._adds.get(label)
+        if added:
+            keys = np.concatenate((keys, np.sort(_edge_keys(added, n))))
+            keys.sort(kind="stable")  # two sorted runs: one merge
+        subjects, objects = np.divmod(keys, n)
+        backward = np.sort(objects * n + subjects)
+        pair = LabelMatrixPair(n)
+        pair.forward = AdjacencyMatrix.from_sorted_columns(
+            n, subjects, objects
+        )
+        pair.backward = AdjacencyMatrix.from_sorted_columns(
+            n, *np.divmod(backward, n)
+        )
         return pair
 
     def _pair_for(self, label: str) -> Optional[LabelMatrixPair]:
@@ -512,18 +536,12 @@ class OverlayTripleStore(TripleStore):
             return
         if p < 0 or p >= len(self.predicates):
             return
-        label = self.predicates.decode(p)
-        by_subject: Dict[int, Set[int]] = {}
-        by_object: Dict[int, Set[int]] = {}
-        pair = self._view.matrices().get(label)
-        if pair is not None:
-            rows = pair.forward.rows
-            for s in rows:
-                for o in rows[s].iter_ones().tolist():
-                    by_subject.setdefault(s, set()).add(o)
-                    by_object.setdefault(o, set()).add(s)
-        self._pso[p] = by_subject
-        self._pos[p] = by_object
+        pair = self._view.matrices().get(self.predicates.decode(p))
+        if pair is None:
+            self._pso[p] = {}
+            self._pos[p] = {}
+        else:
+            self._fill_columns(p, *pair.edge_columns())
         self._filled.add(p)
         self.fill_count += 1
         registry().counter("join_index_fills_total").inc()

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Iterator, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.errors import StoreError
 from repro.graph.database import GraphDatabase, Literal
 from repro.graph.graph import Graph
@@ -18,6 +20,19 @@ from repro.rdf.dictionary import TermDictionary
 
 IdTriple = Tuple[int, int, int]
 NameTriple = Tuple[Hashable, str, Hashable]
+
+
+def _index(keys: np.ndarray, values: np.ndarray) -> Dict[int, Set[int]]:
+    """``key -> set(values)`` over two columns sorted by key."""
+    if keys.size == 0:
+        return {}
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    bounds = np.append(starts, keys.size).tolist()
+    members = values.tolist()
+    return {
+        key: set(members[lo:hi])
+        for key, lo, hi in zip(keys[starts].tolist(), bounds, bounds[1:])
+    }
 
 
 class TripleStore:
@@ -63,6 +78,17 @@ class TripleStore:
             added += 1
         self._size += added
         return added
+
+    def _fill_columns(
+        self, p: int, subjects: np.ndarray, objects: np.ndarray
+    ) -> None:
+        """Set predicate ``p``'s indexes from its int64 ``(s, o)``
+        columns, sorted by subject and without repeats (a label's
+        forward CSR); one stable sort by object gives the reverse
+        index.  Leaves the triple count alone."""
+        by_object = np.argsort(objects, kind="stable")
+        self._pso[p] = _index(subjects, objects)
+        self._pos[p] = _index(objects[by_object], subjects[by_object])
 
     @classmethod
     def from_triples(cls, triples: Iterable[NameTriple]) -> "TripleStore":

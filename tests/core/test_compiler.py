@@ -129,6 +129,29 @@ class TestOptionalCompilation:
                 and compiled.soi.find(copy.source) in x_set
             )
 
+    def test_non_well_designed_nested_optional_not_anchored(self):
+        """R1 OPT (R2 OPT R3) with z in R1 and R3 but not R2: the R3
+        surrogate of z stays free.  Anchoring it to z pruned n0 p n0,
+        whose inner match {b=n1, z=n0} conflicts with z=n1 and so
+        keeps the bare {z=n1}; the pruned store then answered
+        {z=n1, b=n1} instead."""
+        from repro.graph import GraphDatabase
+        from repro.pipeline import PruningPipeline
+
+        query = (
+            "SELECT * WHERE { ?z r ?z . OPTIONAL { ?b r ?b . "
+            "OPTIONAL { ?z p ?z . } } }"
+        )
+        [compiled] = compile_query(query)
+        assert len(compiled.all_vids(v("z"))) == 2
+        assert copy_count(compiled) == 0
+        db = GraphDatabase()
+        db.add_triple("n0", "p", "n0")
+        db.add_triple("n1", "r", "n1")
+        report = PruningPipeline(db).run(query, name="nested-nwd")
+        assert report.results_preserved
+        assert report.results_equal
+
     def test_and_unifies_mandatory(self):
         query = "SELECT * WHERE { { ?a p ?b . } { ?a q ?c . } }"
         [compiled] = compile_query(query)

@@ -1,13 +1,25 @@
 """CRC32C implementation and snapshot checksum-table behavior."""
 
+import gc
+import mmap
+import random
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import SnapshotCorruptError
-from repro.graph import example_movie_database
-from repro.storage.checksum import crc32c
+from repro.graph import GraphDatabase, example_movie_database
+from repro.storage.checksum import (
+    _LANE,
+    _MIN_VECTOR_LANES,
+    _crc32c_scalar,
+    crc32c,
+)
 from repro.storage.reader import SnapshotReader
 from repro.storage.writer import SnapshotWriter
+
+#: The smallest input the vector path takes.
+CUTOFF = _LANE * _MIN_VECTOR_LANES
 
 
 class TestCrc32c:
@@ -44,6 +56,83 @@ class TestCrc32c:
         flipped = bytearray(data)
         flipped[position] ^= 1 << bit
         assert crc32c(bytes(flipped)) != crc32c(data)
+
+
+def _random_bytes(seed: int, length: int) -> bytes:
+    return random.Random(seed).randbytes(length)
+
+
+class TestVectorPath:
+    """The NumPy lane path against the kept scalar loop."""
+
+    @given(
+        length=st.one_of(
+            st.integers(0, 3 * CUTOFF),
+            st.integers(0, 70_000),
+            # An odd number of whole lanes plus a 1-63 byte tail.
+            st.tuples(st.integers(8, 500), st.integers(1, 63)).map(
+                lambda t: (2 * t[0] + 1) * _LANE + t[1]
+            ),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        value=st.integers(0, 2**32 - 1),
+    )
+    @example(length=CUTOFF - 1, seed=1, value=0)
+    @example(length=CUTOFF, seed=2, value=0xFFFFFFFF)
+    @example(length=CUTOFF + 1, seed=3, value=0x12345678)
+    @example(length=17 * _LANE + 63, seed=4, value=7)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_scalar_loop(self, length, seed, value):
+        data = _random_bytes(seed, length)
+        assert crc32c(data, value) == _crc32c_scalar(data, value)
+
+    @given(
+        length=st.integers(0, 20_000),
+        offset=st.integers(0, 15),
+        seed=st.integers(0, 2**32 - 1),
+        value=st.integers(0, 2**32 - 1),
+    )
+    @example(length=CUTOFF + 5, offset=1, seed=5, value=0)
+    @example(length=33 * _LANE + 7, offset=7, seed=6, value=9)
+    @settings(max_examples=40, deadline=None)
+    def test_views_at_odd_offsets(self, length, offset, seed, value):
+        """Unaligned memoryview and mmap slices checksum like bytes."""
+        data = _random_bytes(seed, length)
+        want = _crc32c_scalar(data, value)
+        padded = bytearray(offset) + data
+        with memoryview(padded)[offset:] as view:
+            assert crc32c(view, value) == want
+        mapped = mmap.mmap(-1, offset + length + 1)
+        try:
+            mapped[offset:offset + length] = data
+            with memoryview(mapped)[offset:offset + length] as view:
+                assert crc32c(view, value) == want
+        finally:
+            mapped.close()  # raises BufferError if a view leaked
+
+    def test_multi_mebibyte_input(self):
+        data = _random_bytes(37, (3 << 20) + 37)
+        assert crc32c(data, 0xDEADBEEF) == _crc32c_scalar(data, 0xDEADBEEF)
+        split = (1 << 20) + 3
+        assert crc32c(data[split:], crc32c(data[:split])) == crc32c(data)
+
+
+def test_reader_releases_the_mapping_after_lazy_verification(tmp_path):
+    """``csr()`` checksums a view of the mapping, not a copy; once the
+    caller drops the arrays, ``close()`` really unmaps the file."""
+    db = GraphDatabase.from_triples(
+        (f"s{i}", "p", f"o{i % 97}") for i in range(400)
+    )
+    path = tmp_path / "wide.snap"
+    SnapshotWriter(path).write(db)
+    reader = SnapshotReader(path)
+    arrays = reader.csr("p", "forward")
+    assert arrays[2].nbytes >= CUTOFF  # the vector path checked it
+    assert ("p", "forward") in reader._verified
+    del arrays
+    gc.collect()
+    reader.close()
+    assert reader._mm.closed
 
 
 @pytest.fixture

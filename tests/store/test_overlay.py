@@ -9,6 +9,7 @@ base/delta split.
 
 import pytest
 
+from repro import Database
 from repro.api.backend import InMemoryBackend, SnapshotBackend
 from repro.errors import GraphError, StoreError
 from repro.graph import GraphDatabase, Literal, example_movie_database
@@ -244,6 +245,64 @@ class TestBackendSurface:
         assert stats["delta_retracts"] == 1
         assert stats["delta_new_nodes"] == 2
         assert stats["base"]["kind"] == "memory"
+
+
+#: Arrays a CSR matrix holds: the adopted (or built) CSR and the
+#: subject column cached beside it.  Anything else is a dense layout.
+_CSR_SLOTS = ("_row_nodes", "_indptr", "_indices", "_entry_rows")
+_DENSE_SLOTS = ("_rows", "_packed", "_row_index", "_word_idx", "_bit_shift")
+
+
+def _csr_bytes(pair):
+    return sum(
+        getattr(matrix, slot).nbytes
+        for matrix in (pair.forward, pair.backward)
+        for slot in _CSR_SLOTS
+        if getattr(matrix, slot) is not None
+    )
+
+
+@pytest.fixture(scope="module")
+def lubm_snapshot(tmp_path_factory):
+    from repro.workloads import generate_lubm
+
+    path = tmp_path_factory.mktemp("overlay") / "lubm.snap"
+    write_snapshot(generate_lubm(n_universities=1, seed=3), path)
+    return path
+
+
+class TestEditSessionStaysSparse:
+    """A fresh ``Database.edit`` session never packs a dense row
+    block: neither for the base labels it adopts from the snapshot nor
+    for the labels it rebuilds after a write."""
+
+    def test_passes_build_no_dense_block(self, lubm_snapshot):
+        from repro.workloads.queries import LUBM_QUERIES
+
+        with Database.edit(lubm_snapshot) as db:
+            backend = db.backend
+            retracted = next(
+                t for t in backend.triples() if t[1] == "takesCourse"
+            )
+            db.retract([retracted])
+            db.add([(retracted[2], "advisor", retracted[0])])
+            for mode in ("pruned", "full"):  # cold pruned, then full
+                for name in sorted(LUBM_QUERIES):
+                    db.query(LUBM_QUERIES[name], mode=mode).rows()
+
+            tiered = backend.base.graph
+            adopted = dict(tiered._pairs)
+            rebuilt = dict(backend.graph._pairs)
+            assert adopted and {"takesCourse", "advisor"} <= set(rebuilt)
+            assert backend.triple_store().fill_count > 0
+            for label, pair in [*adopted.items(), *rebuilt.items()]:
+                for matrix in (pair.forward, pair.backward):
+                    for slot in _DENSE_SLOTS:
+                        assert getattr(matrix, slot) is None, (label, slot)
+            report = backend.residency()
+            assert report.resident_bytes == sum(
+                _csr_bytes(pair) for pair in adopted.values()
+            )
 
 
 def _edges(pair):

@@ -70,27 +70,6 @@ def main():
               "no memory.")
         db.close()
 
-        # -- bounded residency: the budget is a hard ceiling ---------------
-        # Half of L0's working set: every query ends with an LRU
-        # demotion pass back under the ceiling, and answers are
-        # bit-identical to the unbudgeted session under any budget.
-        from repro import ExecutionProfile
-
-        budget = after.resident_bytes // 2
-        db = Database.open(
-            path,
-            profile=ExecutionProfile(residency_budget=budget),
-            cached=False,
-        )
-        for _ in range(2):  # promote -> demote -> re-promote churn
-            db.simulate(LUBM_QUERIES["L0"])
-        capped = db.stats().residency
-        print(f"\nbudget {budget} B: {capped.resident_bytes} B resident "
-              f"after enforcement ({capped.promotions} promotions, "
-              f"{capped.demotions} demotions; "
-              f"within budget: {db.stats().within_residency_budget})")
-        db.close()
-
 
 if __name__ == "__main__":
     main()

@@ -124,24 +124,6 @@ class GraphBackend(Protocol):
         the notion does not apply (fully in-memory)."""
         ...
 
-    def set_residency_budget(self, budget: Optional[int]) -> None:
-        """Arm (or disarm, with ``None``) the hard ceiling on resident
-        packed bytes, so promotions during the next operation respect
-        it.  A no-op for backends without a residency notion."""
-        ...
-
-    def enforce_residency_budget(self, budget: Optional[int]) -> int:
-        """Demote least-recently-touched labels until resident packed
-        bytes fit the budget; returns how many labels were demoted
-        (0 for backends without a residency notion).
-
-        ``budget=None`` means "keep whatever ceiling is currently
-        armed" (via :meth:`set_residency_budget`), NOT "unbounded":
-        with no ceiling armed either, the call demotes nothing.
-        Implementations must follow this so backends stay
-        interchangeable under one call sequence."""
-        ...
-
     def stats(self) -> Dict[str, object]:
         """Flat, JSON-friendly description of the backend."""
         ...
@@ -208,12 +190,6 @@ class InMemoryBackend:
 
     def residency(self) -> Optional[ResidencyReport]:
         return None
-
-    def set_residency_budget(self, budget: Optional[int]) -> None:
-        return None  # no residency notion to bound
-
-    def enforce_residency_budget(self, budget: Optional[int]) -> int:
-        return 0  # nothing demotable
 
     def stats(self) -> Dict[str, object]:
         return {
@@ -295,16 +271,6 @@ class SnapshotBackend:
     def residency(self) -> ResidencyReport:
         return self._view.residency()
 
-    def set_residency_budget(self, budget: Optional[int]) -> None:
-        """Arm the tiered view's hard ceiling so promotions during the
-        next solve shed least-recently-touched labels on the spot."""
-        self._view.residency_budget = budget
-
-    def enforce_residency_budget(self, budget: Optional[int]) -> int:
-        """LRU-demote down to the budget and compact the batched
-        block; returns how many labels were demoted."""
-        return self._view.enforce_budget(budget)
-
     def stats(self) -> Dict[str, object]:
         residency = self.residency()
         fills = getattr(self._store, "fill_count", 0)
@@ -319,7 +285,6 @@ class SnapshotBackend:
             "n_labels": len(self.labels),
             "cold_labels": residency.cold_labels,
             "promotions": residency.promotions,
-            "demotions": residency.demotions,
             "resident_labels": residency.resident_labels,
             "resident_bytes": residency.resident_bytes,
             "on_disk_bytes": residency.on_disk_bytes,

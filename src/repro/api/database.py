@@ -24,11 +24,9 @@ from __future__ import annotations
 import os
 import threading
 import time
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
-    Callable,
     Dict,
     Hashable,
     Iterable,
@@ -110,10 +108,7 @@ class DatabaseStats:
     """`Database.stats()` — one flat snapshot of a session.
 
     ``residency`` is the report captured when :meth:`Database.stats`
-    ran; :attr:`within_residency_budget` re-reads the backend instead
-    of trusting that snapshot, so the flag always reflects the
-    *post-demotion* state even when promotions (and enforcement)
-    happened after the stats object was built.
+    ran.
     """
 
     backend: str
@@ -123,9 +118,6 @@ class DatabaseStats:
     profile: ExecutionProfile
     path: Optional[Path] = None
     residency: Optional[ResidencyReport] = None
-    residency_source: Optional[Callable[[], Optional[ResidencyReport]]] = (
-        field(default=None, repr=False, compare=False)
-    )
     #: Kernel fallbacks recorded during this session's operations
     #: (batched → packed → reference), oldest first.
     degradations: Tuple[DegradationEvent, ...] = ()
@@ -133,26 +125,6 @@ class DatabaseStats:
     #: from :func:`repro.obs.metrics.registry`) taken when
     #: :meth:`Database.stats` ran.
     metrics: Optional[Dict[str, object]] = None
-
-    def _live_residency(self) -> Optional[ResidencyReport]:
-        if self.residency_source is not None:
-            try:
-                return self.residency_source()
-            except (ValueError, OSError):
-                # Backend released since this stats object was built
-                # (closed mmap): answer from the captured snapshot,
-                # like the pre-enforcement behavior.
-                pass
-        return self.residency
-
-    @property
-    def within_residency_budget(self) -> Optional[bool]:
-        """None when no budget (or no residency notion) applies."""
-        budget = self.profile.residency_budget
-        residency = self._live_residency()
-        if budget is None or residency is None:
-            return None
-        return residency.resident_bytes <= budget
 
     def to_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {
@@ -170,15 +142,11 @@ class DatabaseStats:
             out["residency"] = {
                 "cold_labels": self.residency.cold_labels,
                 "promotions": self.residency.promotions,
-                "demotions": self.residency.demotions,
                 "resident_labels": self.residency.resident_labels,
                 "resident_bytes": self.residency.resident_bytes,
                 "on_disk_bytes": self.residency.on_disk_bytes,
                 "promotion_retries": self.residency.promotion_retries,
             }
-        if self.profile.residency_budget is not None:
-            out["residency_budget"] = self.profile.residency_budget
-            out["within_residency_budget"] = self.within_residency_budget
         if self.degradations:
             out["degradations"] = [
                 event.to_dict() for event in self.degradations
@@ -308,7 +276,7 @@ class Database:
         server suspends a query at its time quantum (HTTP 206), the
         client re-submits the continuation transparently until the
         result completes, so calling code never sees a partial
-        result.  Execution knobs (engine, kernel, quantum, budget)
+        result.  Execution knobs (engine, kernel, quantum)
         are the *server's*; of the local profile only the pruning
         mode travels with each request.  Server-side operations
         (``simulate``, ``explain``, ``benchmark``) raise
@@ -511,25 +479,6 @@ class Database:
             self._advisor = PruningAdvisor(self.backend.triple_store())
         return self._advisor.advise(query, self.profile.engine)
 
-    def _arm_budget(self) -> None:
-        """Hand this session's budget to the backend before a query,
-        so promotions during the solve shed LRU labels on the spot.
-
-        Re-armed per operation because `Database.open` shares cached
-        backends across sessions: whichever session is executing has
-        its own profile's budget in force.
-        """
-        self.backend.set_residency_budget(self.profile.residency_budget)
-
-    def _enforce_budget(self) -> None:
-        """Query-boundary enforcement: LRU-demote down to the budget
-        (hard ceiling, replacing the pre-PR-5 advisory warning) and
-        compact the batched kernel's block."""
-        if self.profile.residency_budget is not None:
-            self.backend.enforce_residency_budget(
-                self.profile.residency_budget
-            )
-
     # -- query surface ----------------------------------------------------
 
     def query(
@@ -598,7 +547,6 @@ class Database:
         advised = False
         limits = self.profile.execution_limits()
         started = time.perf_counter()
-        self._arm_budget()
         with self.profile.kernel_context(), \
                 capture_events(self._degradations):
             with tracer.span("prepare"):
@@ -644,7 +592,6 @@ class Database:
                     rounds=outcome.total_rounds,
                     t_simulation=outcome.t_simulation,
                 )
-        self._enforce_budget()
         self._note_query(started, summary=summary)
         return ResultSet(result, mode=mode, pruning=summary, advised=advised)
 
@@ -691,7 +638,6 @@ class Database:
             ),
             fingerprint(query, self.backend, self.profile.solver),
         )
-        self._enforce_budget()
         return ResultSet(
             None, mode="pruned", advised=advised,
             complete=False, continuation=token,
@@ -755,7 +701,6 @@ class Database:
         tracer = current_tracer()
         limits = self.profile.execution_limits()
         started = time.perf_counter()
-        self._arm_budget()
         with self.profile.kernel_context(), \
                 capture_events(self._degradations):
             pipeline = self._pipeline_for()
@@ -786,7 +731,6 @@ class Database:
                 rounds=outcome.total_rounds,
                 t_simulation=outcome.t_simulation,
             )
-        self._enforce_budget()
         self._note_query(started, summary=summary)
         return ResultSet(
             result, mode="pruned", pruning=summary,
@@ -803,11 +747,9 @@ class Database:
         if remote is not None:
             return remote(query)
         limits = self.profile.execution_limits(include_quantum=False)
-        self._arm_budget()
         with self.profile.kernel_context(), \
                 capture_events(self._degradations):
             answer = self._pipeline_for().ask(query, limits=limits)
-        self._enforce_budget()
         return answer
 
     def simulate(self, query) -> SimulationOutcome:
@@ -824,7 +766,6 @@ class Database:
 
         branches = []
         limits = self.profile.execution_limits(include_quantum=False)
-        self._arm_budget()
         with self.profile.kernel_context(), \
                 capture_events(self._degradations):
             for number, compiled in enumerate(compile_query(query)):
@@ -848,7 +789,6 @@ class Database:
                         candidates=candidates,
                     )
                 )
-        self._enforce_budget()
         return SimulationOutcome(branches)
 
     def explain(self, query) -> str:
@@ -880,11 +820,9 @@ class Database:
         evaluation, Tables 3-5); returns a
         :class:`~repro.pipeline.PipelineReport`."""
         self._require_local("benchmark")
-        self._arm_budget()
         with self.profile.kernel_context(), \
                 capture_events(self._degradations):
             report = self._pipeline_for().run(query, name=name)
-        self._enforce_budget()
         return report
 
     # -- introspection ----------------------------------------------------
@@ -912,18 +850,6 @@ class Database:
         return self.backend.triples()
 
     def stats(self) -> DatabaseStats:
-        # The live-residency source holds the backend weakly: stats
-        # objects collected per query for monitoring must not pin the
-        # resident tier (that would be the unbounded-memory pattern
-        # the residency budget exists to prevent).
-        backend_ref = weakref.ref(self.backend)
-
-        def live_residency() -> Optional[ResidencyReport]:
-            backend = backend_ref()
-            if backend is None:
-                raise ValueError("backend released")  # snapshot fallback
-            return backend.residency()
-
         return DatabaseStats(
             backend=self.backend.kind,
             n_triples=self.backend.n_triples,
@@ -932,7 +858,6 @@ class Database:
             profile=self.profile,
             path=getattr(self.backend, "path", None),
             residency=self.backend.residency(),
-            residency_source=live_residency,
             degradations=tuple(self._degradations),
             metrics=registry().snapshot(),
         )

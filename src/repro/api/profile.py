@@ -51,16 +51,6 @@ class ExecutionProfile:
       ``None`` defers to the process default, which still honors the
       deprecated ``REPRO_KERNEL`` variable;
     * ``solver`` — SOI fixpoint strategy knobs (Sect. 3.3);
-    * ``residency_budget`` — hard ceiling, in bytes, on resident
-      packed blocks for snapshot-backed sessions.  Enforced by an LRU
-      demotion pass over materialized labels: after every query (and
-      on every mid-solve promotion) the least-recently-touched labels
-      drop back to their on-disk rows until the ceiling holds, with
-      Eq. (13) summaries kept resident.  Answers are unaffected —
-      demoted labels transparently re-materialize on the next touch —
-      and ``Database.stats()`` reports the demotion counters.
-      (Advisory-only before PR 5: the old one-time ``ResourceWarning``
-      is gone.)
     * ``time_quantum_ms`` — preemptable execution: the dual-simulation
       stage of :meth:`Database.query` suspends after this much wall
       time and returns a partial :class:`~repro.api.result.ResultSet`
@@ -93,7 +83,6 @@ class ExecutionProfile:
     pruning: str = "auto"
     kernel: Optional[str] = None
     solver: SolverOptions = field(default_factory=_default_solver_options)
-    residency_budget: Optional[int] = None
     time_quantum_ms: Optional[float] = None
     deadline_ms: Optional[float] = None
     trace: bool = False
@@ -115,11 +104,6 @@ class ExecutionProfile:
             raise ReproError(
                 f"unknown kernel {self.kernel!r}; choose from {KERNELS}"
             )
-        if (
-            self.residency_budget is not None
-            and self.residency_budget < 0
-        ):
-            raise ReproError("residency_budget must be >= 0")
         if self.time_quantum_ms is not None and self.time_quantum_ms < 0:
             raise ReproError(
                 f"time_quantum_ms must be >= 0, got {self.time_quantum_ms}"

@@ -140,18 +140,13 @@ class BatchedBlockSet:
     after packing) is detected by identity on the packed array and
     appended afresh; the stale region is left behind as slack.
 
-    Stale slack is reclaimed through :meth:`invalidate` (drop one
-    label's entries when the tiered store demotes it) followed by
-    :meth:`compact` (rewrite the block with only live entries'
-    segments).  Compaction moves rows, so callers must only compact
-    at batch boundaries — never while gathered positions into the
-    block are pending (the demotion pass compacts between queries,
-    after every in-flight batch has flushed).
+    Nothing is ever removed from a block.  Its owner drops the whole
+    set when the adjacency it mirrors changes (a mutated
+    :class:`~repro.graph.graph.Graph`, an overlay write) and the next
+    batched solve starts a fresh one.
     """
 
-    __slots__ = (
-        "nbits", "n_words", "_block", "_used", "_entries", "_stale_rows",
-    )
+    __slots__ = ("nbits", "n_words", "_block", "_used", "_entries")
 
     def __init__(self, nbits: int):
         self.nbits = nbits
@@ -161,7 +156,6 @@ class BatchedBlockSet:
         self._block = np.empty((0, self.n_words), dtype=np.uint64)
         self._used = 0
         self._entries: Dict[Tuple[str, str], BatchEntry] = {}
-        self._stale_rows = 0
 
     @property
     def block(self) -> np.ndarray:
@@ -182,11 +176,6 @@ class BatchedBlockSet:
     def nbytes(self) -> int:
         """Bytes held by the concatenated block (capacity included)."""
         return self._block.nbytes
-
-    @property
-    def stale_rows(self) -> int:
-        """Rows occupied by invalidated or superseded entries."""
-        return self._stale_rows
 
     def _reserve(self, extra: int) -> None:
         need = self._used + extra
@@ -209,10 +198,8 @@ class BatchedBlockSet:
         """
         key = (label, orientation)
         entry = self._entries.get(key)
-        if entry is not None:
-            if entry.packed is matrix._packed:
-                return entry
-            self._stale_rows += entry.n_rows
+        if entry is not None and entry.packed is matrix._packed:
+            return entry
         matrix.pack()
         packed = matrix._packed
         self._reserve(packed.shape[0])
@@ -222,46 +209,6 @@ class BatchedBlockSet:
         entry = BatchEntry(offset, matrix._row_index, packed)
         self._entries[key] = entry
         return entry
-
-    def invalidate(self, label: str) -> int:
-        """Drop a label's entries (both orientations); returns how many
-        were present.
-
-        The segments' rows stay in the block as stale slack, so
-        positions already gathered from them remain valid until the
-        next :meth:`compact` — demoting a label mid-solve is safe.
-        Re-promoting the label later simply appends a fresh entry.
-        """
-        dropped = 0
-        for orientation in ("forward", "backward"):
-            entry = self._entries.pop((label, orientation), None)
-            if entry is not None:
-                self._stale_rows += entry.n_rows
-                dropped += 1
-        return dropped
-
-    def compact(self) -> int:
-        """Rewrite the block keeping only live entries; returns the
-        bytes freed.
-
-        Row offsets change, so this must only run when no gathered
-        positions into the block are outstanding (between batches /
-        queries).
-        """
-        before = self._block.nbytes
-        live = sum(entry.n_rows for entry in self._entries.values())
-        packed = np.empty((live, self.n_words), dtype=np.uint64)
-        offset = 0
-        for entry in self._entries.values():
-            packed[offset:offset + entry.n_rows] = self._block[
-                entry.offset:entry.offset + entry.n_rows
-            ]
-            entry.offset = offset
-            offset += entry.n_rows
-        self._block = packed
-        self._used = live
-        self._stale_rows = 0
-        return before - packed.nbytes
 
     def __contains__(self, key: Tuple[str, str]) -> bool:
         return key in self._entries

@@ -435,7 +435,7 @@ class LabelMatrixPair:
     def edge_columns(self) -> Tuple[np.ndarray, np.ndarray]:
         """The label's edges as sorted ``(s, o)`` int64 columns: the
         forward CSR's lists, cached with it (so an added edge, a
-        rebuilt pair or a demoted pair drops them too)."""
+        or a rebuilt pair drops them too)."""
         return self.forward.edge_columns()
 
     def pack(self) -> "LabelMatrixPair":

@@ -207,11 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "pruned evaluation) and report both timings")
     dbq.add_argument("--limit", type=int, default=20,
                      help="max solutions to print (0 = all)")
-    dbq.add_argument("--budget", type=int, default=None,
-                     help="hard residency budget in bytes: after the "
-                          "query, least-recently-touched labels are "
-                          "demoted back to disk until resident packed "
-                          "bytes fit")
     dbq.add_argument("--stats-json", action="store_true",
                      help="after the query, print the full session "
                           "stats (residency, degradations, process "
@@ -242,9 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-body", type=int, default=None, metavar="BYTES",
                        help="largest accepted request body "
                             "(default 1 MiB; larger bodies answer 413)")
-    serve.add_argument("--budget", type=int, default=None,
-                       help="residency budget in bytes for the served "
-                            "snapshot")
     serve.add_argument("--trace-out", default=None, metavar="PATH",
                        help="append every request's trace as OTel-"
                             "compatible JSONL (one span per line)")
@@ -273,7 +265,6 @@ def _execution_profile(args, default_mode: str = "full") -> ExecutionProfile:
     for flag, field in (
         ("engine", "engine"),
         ("kernel", "kernel"),
-        ("budget", "residency_budget"),
         ("quantum", "time_quantum_ms"),
         ("deadline", "deadline_ms"),
     ):
@@ -531,22 +522,6 @@ def cmd_db(args, out) -> int:
                 f"format: v{info.version}, checksums: per-section CRC32C",
                 file=out,
             )
-            if info.labels:
-                # Budget-sizing guidance for `db query --budget` /
-                # ExecutionProfile(residency_budget=...): what full
-                # promotion would pin resident (the adopted arrays;
-                # kernels may derive more), and the largest single
-                # label (a budget below it still works — the LRU pass
-                # demotes down to zero resident at query boundaries —
-                # but every query re-materializes that label).
-                full = sum(i.payload_bytes for i in info.labels)
-                largest = max(info.labels, key=lambda i: i.payload_bytes)
-                print(
-                    f"residency budget guide: ~{full} B fully "
-                    f"promoted; largest label {largest.label!r} "
-                    f"~{largest.payload_bytes} B",
-                    file=out,
-                )
             print(
                 render_table(
                     ["Label", "Edges", "Bytes"],
@@ -567,16 +542,11 @@ def cmd_db(args, out) -> int:
     )
     code = _run_session_query(db, args, out)
     residency = db.stats().residency
-    budget = (
-        f", budget {residency.residency_budget} B"
-        if residency.residency_budget is not None else ""
-    )
     print(
         f"residency: {residency.cold_labels} cold, "
-        f"{residency.promotions} promoted, "
-        f"{residency.demotions} demoted "
+        f"{residency.promotions} promoted "
         f"({residency.resident_bytes} B resident vs "
-        f"{residency.on_disk_bytes} B on disk{budget})",
+        f"{residency.on_disk_bytes} B on disk)",
         file=out,
     )
     return code

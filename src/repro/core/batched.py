@@ -252,11 +252,6 @@ def run_batched(
     add_col = batch.add_col
     pending = batch.targets  # stable identity: flush() clears in place
     get_pair = matrices.get
-    # Tiered views serve Eq. (13) summaries without materializing the
-    # label, so the saturated-source shortcut below never promotes (or
-    # re-promotes a demoted label); plain dict matrices (None here)
-    # read them off the pair, which is already resident by definition.
-    get_summaries = getattr(matrices, "summaries", None)
     if resume_queue is not None:
         queue = list(resume_queue)
         updated: Set[int] = set(resume_updated or ())
@@ -305,14 +300,8 @@ def run_batched(
                 continue
             ineq = inequalities[idx]
             source_count = source_row.count()
-            if get_summaries is not None:
-                pair = None
-                summaries = get_summaries(ineq.label)
-                absent = summaries is None
-            else:
-                pair = get_pair(ineq.label)
-                absent = pair is None
-            if absent or source_count == 0:
+            pair = get_pair(ineq.label)
+            if pair is None or source_count == 0:
                 # Absent label or empty source: the product is the
                 # zero vector either way — no kernel work needed.
                 rows[target] = Bitset.zeros(n)
@@ -321,12 +310,9 @@ def run_batched(
                 updated.add(target)
                 continue
             forward = ineq.matrix == FORWARD
-            if pair is None:
-                summary = summaries[0] if forward else summaries[1]
-            else:
-                summary = (
-                    pair.forward if forward else pair.backward
-                ).summary
+            matrix = pair.forward if forward else pair.backward
+            dual = pair.backward if forward else pair.forward
+            summary = matrix.summary
             if (
                 source_count >= summary.count()
                 and summary.issubset(source_row)
@@ -337,17 +323,8 @@ def run_batched(
                 # One subset test + one AND replace gather and reduce
                 # (round 1 hits this for every degree-one pattern
                 # variable: summary initialization made them equal to
-                # this very summary).  Served summary-only on tiered
-                # views: the label is never materialized for it.
-                if pair is None:
-                    dual_summary = (
-                        summaries[1] if forward else summaries[0]
-                    )
-                else:
-                    dual_summary = (
-                        pair.backward if forward else pair.forward
-                    ).summary
-                tightened = target_row & dual_summary
+                # this very summary).
+                tightened = target_row & dual.summary
                 after = tightened.count()
                 if after != before:
                     rows[target] = tightened
@@ -358,11 +335,7 @@ def run_batched(
             strategy = product
             if strategy == "auto":
                 strategy = "column" if before < source_count else "row"
-            if pair is None:
-                # Tiered view, real product ahead: materialize now.
-                pair = get_pair(ineq.label)
             if strategy == "row":
-                matrix = pair.forward if forward else pair.backward
                 where = entry(
                     ineq.label, "forward" if forward else "backward",
                     matrix,
@@ -391,7 +364,6 @@ def run_batched(
             else:
                 # Column-wise: keep candidate j of the target iff the
                 # *dual* matrix's row j intersects the source vector.
-                dual = pair.backward if forward else pair.forward
                 where = entry(
                     ineq.label, "backward" if forward else "forward",
                     dual,

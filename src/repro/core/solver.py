@@ -168,26 +168,10 @@ def _initial_rows(
     if options.initialization == "summary":
         # Eq. (13): v <= AND of incident-edge summary vectors.  For
         # plain-simulation edges only the source is constrained (the
-        # target owes nothing to its predecessors).  A tiered view's
-        # mapping serves summaries without materializing any label
-        # (so initialization never promotes, and never re-promotes a
-        # demoted label); plain dict matrices read them straight off
-        # the pair, which is resident by definition.
-        summaries_of = getattr(matrices, "summaries", None)
+        # target owes nothing to its predecessors).
         for edge in soi.edges:
             source = soi.find(edge.source)
             target = soi.find(edge.target)
-            if summaries_of is not None:
-                summaries = summaries_of(edge.label)
-                if summaries is None:
-                    rows[source].clear()
-                    if edge.dual:
-                        rows[target].clear()
-                else:
-                    rows[source] &= summaries[0]
-                    if edge.dual:
-                        rows[target] &= summaries[1]
-                continue
             pair = matrices.get(edge.label)
             if pair is None:
                 rows[source].clear()

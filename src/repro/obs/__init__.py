@@ -6,7 +6,7 @@ Zero-dependency (stdlib only) window into the engine:
   nested, timestamped spans for every stage of a query's life
   (``parse``, ``advise``, ``prune`` per union branch, ``solve`` per
   segment with work counters attached, ``join``, ``promotion`` /
-  ``demotion`` / ``retry``, ``checkpoint`` / ``resume``, ``degrade``),
+  ``retry``, ``checkpoint`` / ``resume``, ``degrade``),
   exportable as one-span-per-line JSON with OTel-compatible field
   names.  The module-level :data:`NULL_TRACER` is active by default;
   every hot-path hook is an inline ``if tracer.enabled`` guard, so the
@@ -16,7 +16,7 @@ Zero-dependency (stdlib only) window into the engine:
 
 * **Metrics** (:mod:`repro.obs.metrics`) — a process-wide
   :class:`MetricsRegistry` of counters and bounded histograms (query
-  latency, solver rounds, promotions, demotions, retries,
+  latency, solver rounds, promotions, retries,
   degradations, continuation resumes), snapshotable from
   ``Database.stats()`` and ``repro db info --json``.
 

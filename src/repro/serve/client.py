@@ -315,12 +315,6 @@ class RemoteBackend:
     def residency(self):
         return None  # residency is the server's concern
 
-    def set_residency_budget(self, budget: Optional[int]) -> None:
-        return None
-
-    def enforce_residency_budget(self, budget: Optional[int]) -> int:
-        return 0
-
     def stats(self) -> Dict[str, object]:
         """Live server-side stats (one ``GET /info`` round trip)."""
         info = self._get("/info")

@@ -7,9 +7,8 @@ O(edges).  Adjacency arrays stay untouched until asked for:
 ``indptr`` and ``indices`` as **zero-copy read-only views** into the
 mapping, after checking them once against their CRC32Cs and the CSR
 invariants (:func:`_csr_problem`).  Everything else that reads
-adjacency — :meth:`~SnapshotReader.row_nodes`,
-:meth:`~SnapshotReader.iter_id_triples`, :meth:`~SnapshotReader.verify`
-— reads those same arrays.
+adjacency — :meth:`~SnapshotReader.iter_id_triples`,
+:meth:`~SnapshotReader.verify` — reads those same arrays.
 
 The views are read-only, by NumPy's write protection on the mapped
 buffer.  That is deliberate — a snapshot is an immutable artifact;
@@ -372,7 +371,7 @@ class SnapshotReader:
     def _checked_csr(self, label: str, direction: str) -> CSR:
         """The views, checked once per reader: the mapping is immutable
         for the reader's lifetime, so one pass suffices no matter how
-        often the label is promoted or demoted."""
+        often the arrays are read."""
         key = (label, direction)
         if key in self._verified:
             return self._views(label, direction)
@@ -393,11 +392,6 @@ class SnapshotReader:
         read-only int64 views into the mapping — the only payload
         entry point (the promotion read the tiered store retries)."""
         return self._checked_csr(label, direction)
-
-    def row_nodes(self, label: str, direction: str) -> np.ndarray:
-        """The node ids owning a non-empty row — the set bits of the
-        Eq. (13) summary vector — without building a matrix."""
-        return self._checked_csr(label, direction)[0]
 
     def payload_bytes(self, label: str) -> int:
         """On-disk array bytes of both directions of one label."""

@@ -1,5 +1,4 @@
-"""Tiered graph view: snapshot labels promoted lazily and demoted
-under a residency budget.
+"""Tiered graph view: snapshot labels promoted lazily, at most once.
 
 :class:`TieredGraphView` opens a snapshot and satisfies the adjacency
 interface the SOI solver and the pruning stage consume from
@@ -13,25 +12,17 @@ The mapping is where the tiering lives.  Every label starts *cold*:
 nothing but its bytes in the file.  The first ``matrices().get(label)``
 **promotes** it: both directions' CSR arrays are checked
 (:meth:`SnapshotReader.csr`) and adopted as zero-copy views by
-:meth:`AdjacencyMatrix.from_csr` — no decode, no copy.  Residency
-counters (:meth:`residency`) count every array a resident pair holds
-(the adopted views and anything a kernel derives from them) and so
-expose how much of the database is actually materialized — the
-quantity behind the paper's 35 GB fully dense vs 23 GB
-mixed-residency comparison (Sect. 3.3).
+:meth:`AdjacencyMatrix.from_csr` — no decode, no copy.  A promoted
+label stays resident for the life of the view; every later lookup is
+a dict hit.
 
-Residency is bounded, not just reported.  Every lookup refreshes the
-label's position in a touch-ordered LRU; when
-:attr:`residency_budget` is set, a promotion that pushes resident
-bytes over the budget **demotes** the least-recently-touched
-resident labels (they drop their views and every derived array), and
-:meth:`enforce_budget` runs the same pass at query boundaries and
-compacts the batched kernel's shared block.  Demotion keeps each
-label's Eq. (13) summary vectors resident (they are tiny —
-2 x n/8 bytes), so summary initialization and the batched kernel's
-saturated-source shortcut never force a label back in; summaries of
-never-promoted labels are likewise served straight from their
-``row_nodes`` arrays without building a matrix.
+Residency is reported, not bounded.  :meth:`residency` counts every
+array a resident pair holds (the adopted views and anything a kernel
+derives from them) and so exposes *which* labels became resident —
+the quantity behind the paper's 35 GB fully dense vs 23 GB
+mixed-residency comparison (Sect. 3.3).  The adopted arrays are
+read-only views over the snapshot's mmap, so their bytes live in the
+OS page cache, which already evicts them under memory pressure.
 
 A view is read-only; it intentionally does **not** implement the
 mutation or set-based traversal surface of :class:`Graph` (``add_edge``,
@@ -42,7 +33,6 @@ mutation or set-based traversal surface of :class:`Graph` (``add_edge``,
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -107,14 +97,11 @@ class ResidencyReport:
 
     n_labels: int
     cold_labels: int         # not resident (on-disk arrays only)
-    promotions: int          # labels adopted so far (re-adoptions too)
+    promotions: int          # labels adopted so far (once each)
     promoted_labels: Tuple[str, ...]
     resident_bytes: int      # every array resident pairs cache
     on_disk_bytes: int       # snapshot file size
-    demotions: int = 0       # labels dropped by the LRU pass so far
-    demoted_labels: Tuple[str, ...] = ()
     resident_labels: int = 0     # labels currently materialized
-    residency_budget: Optional[int] = None
     promotion_retries: int = 0   # transient I/O errors retried away
 
     @property
@@ -123,21 +110,13 @@ class ResidencyReport:
             return 0.0
         return self.resident_bytes / self.on_disk_bytes
 
-    @property
-    def within_budget(self) -> Optional[bool]:
-        if self.residency_budget is None:
-            return None
-        return self.resident_bytes <= self.residency_budget
-
 
 class TieredMatrices:
     """Mapping ``label -> LabelMatrixPair`` with promote-on-first-touch.
 
     Lookups of resident labels are dict hits; the first lookup of a
-    cold (or demoted) label materializes it.  Iteration
-    (``keys`` / ``len`` / ``in``) never promotes, and
-    :meth:`summaries` serves Eq. (13) summary vectors without
-    promoting either.
+    cold label materializes it.  Iteration (``keys`` / ``len`` /
+    ``in``) never promotes.
     """
 
     def __init__(self, view: "TieredGraphView"):
@@ -152,10 +131,6 @@ class TieredMatrices:
     def get(self, label: str, default=None):
         pair = self._view._pair(label)
         return default if pair is None else pair
-
-    def summaries(self, label: str) -> Optional[Tuple[Bitset, Bitset]]:
-        """(forward, backward) Eq. (13) summaries, promotion-free."""
-        return self._view.label_summaries(label)
 
     def __contains__(self, label: str) -> bool:
         return label in self._view._label_set
@@ -185,7 +160,6 @@ class TieredGraphView:
     def __init__(
         self,
         source: Union[str, Path, SnapshotReader],
-        residency_budget: Optional[int] = None,
         retry_policy: Optional[RetryPolicy] = None,
     ):
         if isinstance(source, SnapshotReader):
@@ -203,13 +177,8 @@ class TieredGraphView:
         }
         self._labels: List[str] = reader.labels()
         self._label_set: Set[str] = set(self._labels)
-        #: Resident pairs in LRU order (least-recently-touched first).
-        self._pairs: "OrderedDict[str, LabelMatrixPair]" = OrderedDict()
-        #: Eq. (13) summaries that outlive their pair (see module doc).
-        self._summaries: Dict[str, Tuple[Bitset, Bitset]] = {}
-        self._promoted: List[str] = []
-        self._demoted: List[str] = []
-        self.residency_budget = residency_budget
+        #: Resident pairs in promotion order.
+        self._pairs: Dict[str, LabelMatrixPair] = {}
         self._matrices = TieredMatrices(self)
         self._batched = None
 
@@ -218,11 +187,10 @@ class TieredGraphView:
     def _pair(self, label: str) -> LabelMatrixPair | None:
         pair = self._pairs.get(label)
         if pair is not None:
-            self._pairs.move_to_end(label)  # LRU touch
             return pair
         if label not in self._label_set:
             return None
-        return self.promote(label)
+        return self._materialize(label)
 
     def _with_retries(self, operation):
         """Run one promotion read under the view's retry policy.
@@ -255,7 +223,7 @@ class TieredGraphView:
                 delay *= policy.multiplier
 
     def _materialize(self, label: str) -> LabelMatrixPair:
-        """Build the resident pair for a label (no budget check)."""
+        """Build and keep the resident pair for a cold label."""
         tracer = current_tracer()
         if not tracer.enabled:
             return self._materialize_inner(label)
@@ -276,108 +244,25 @@ class TieredGraphView:
         pair.backward = AdjacencyMatrix.from_csr(
             n, *self._with_retries(lambda: reader.csr(label, "backward"))
         )
-        self._promoted.append(label)
         registry().counter("promotions_total").inc()
-        self._pairs[label] = pair  # lands at the MRU end
-        self._summaries.setdefault(
-            label, (pair.forward.summary, pair.backward.summary)
-        )
+        self._pairs[label] = pair
         return pair
 
     def promote(self, label: str) -> LabelMatrixPair:
-        """Materialize a label by adopting its CSR views (idempotent).
-
-        When a
-        :attr:`residency_budget` is set, the promotion immediately
-        sheds least-recently-touched *other* labels so mid-solve
-        promotions respect the ceiling too.
-        """
-        pair = self._pairs.get(label)
-        if pair is not None:
-            self._pairs.move_to_end(label)
-            return pair
-        if label not in self._label_set:
+        """Materialize a label by adopting its CSR views (idempotent)."""
+        pair = self._pair(label)
+        if pair is None:
             raise GraphError(f"unknown label: {label!r}")
-        pair = self._materialize(label)
-        if self.residency_budget is not None:
-            self._shed(protect=label)
         return pair
 
     def promote_all(self) -> None:
-        """Force-materialize every non-resident label (benchmarks,
-        warm-up).  Ignores the budget; enforcement re-applies it."""
+        """Force-materialize every cold label (benchmarks, warm-up)."""
         for label in self._labels:
-            if label not in self._pairs:
-                self._materialize(label)
-
-    def demote(self, label: str) -> int:
-        """Drop every array a resident label caches; returns bytes freed.
-
-        The label's Eq. (13) summaries stay resident, its batched
-        segments are invalidated (reclaimed by the next compaction),
-        and the next ``matrices().get(label)`` transparently
-        re-materializes it from the on-disk rows.
-        """
-        pair = self._pairs.pop(label, None)
-        if pair is None:
-            raise GraphError(f"label not resident: {label!r}")
-        freed = pair.nbytes
-        self._demoted.append(label)
-        registry().counter("demotions_total").inc()
-        tracer = current_tracer()
-        if tracer.enabled:
-            tracer.event("demotion", label=label, bytes=freed)
-        if self._batched is not None:
-            self._batched.invalidate(label)
-        return freed
-
-    def _shed(self, protect: Optional[str] = None) -> int:
-        """Demote LRU labels until resident bytes fit the budget.
-
-        ``protect`` (the label a mid-solve promotion just brought in)
-        is never evicted, so the pair the solver is about to use stays
-        valid even under a budget smaller than that single label; the
-        boundary-time :meth:`enforce_budget` pass runs unprotected.
-        """
-        budget = self.residency_budget
-        if budget is None:
-            return 0
-        demoted = 0
-        while self.resident_bytes() > budget:
-            victim = next(
-                (lab for lab in self._pairs if lab != protect), None
-            )
-            if victim is None:
-                break
-            self.demote(victim)
-            demoted += 1
-        return demoted
-
-    def enforce_budget(self, budget: Optional[int] = None) -> int:
-        """Apply the residency budget now; returns labels demoted.
-
-        Called at query boundaries: demotes least-recently-touched
-        labels until resident bytes fit the budget (``None``
-        keeps the current one), then compacts the batched kernel's
-        shared block so demoted segments release their bytes as well.
-        Safe to call any time no solve is in flight.
-        """
-        if budget is not None:
-            self.residency_budget = budget
-        demoted = self._shed()
-        if self._batched is not None and (
-            demoted or self._batched.stale_rows
-        ):
-            self._batched.compact()
-        return demoted
+            self._pair(label)
 
     @property
     def promotions(self) -> int:
-        return len(self._promoted)
-
-    @property
-    def demotions(self) -> int:
-        return len(self._demoted)
+        return len(self._pairs)
 
     @property
     def promotion_retries(self) -> int:
@@ -389,51 +274,20 @@ class TieredGraphView:
 
     def resident_bytes(self) -> int:
         """Bytes of every array the resident pairs hold — adopted CSR
-        views and whatever kernels derived from them (the budgeted
-        value)."""
+        views and whatever kernels derived from them."""
         return sum(
             pair.nbytes for pair in self._pairs.values()
         )
-
-    def lru_labels(self) -> Tuple[str, ...]:
-        """Resident labels, least-recently-touched first."""
-        return tuple(self._pairs)
-
-    def label_summaries(
-        self, label: str
-    ) -> Optional[Tuple[Bitset, Bitset]]:
-        """The label's (forward, backward) Eq. (13) summary vectors,
-        or ``None`` for an unknown label — never promotes.
-
-        Resident and previously-materialized labels answer from the
-        summary cache; a never-touched label's summaries are built from
-        its ``row_nodes`` arrays (non-empty rows are exactly those).
-        """
-        cached = self._summaries.get(label)
-        if cached is not None:
-            return cached
-        if label not in self._label_set:
-            return None
-        n = self.reader.n_nodes
-        summaries = tuple(
-            Bitset.from_indices(n, self.reader.row_nodes(label, d))
-            for d in ("forward", "backward")
-        )
-        self._summaries[label] = summaries
-        return summaries
 
     def residency(self) -> ResidencyReport:
         return ResidencyReport(
             n_labels=len(self._labels),
             cold_labels=len(self._labels) - len(self._pairs),
-            promotions=len(self._promoted),
-            promoted_labels=tuple(self._promoted),
+            promotions=len(self._pairs),
+            promoted_labels=tuple(self._pairs),
             resident_bytes=self.resident_bytes(),
             on_disk_bytes=self.reader.file_bytes,
-            demotions=len(self._demoted),
-            demoted_labels=tuple(self._demoted),
             resident_labels=len(self._pairs),
-            residency_budget=self.residency_budget,
             promotion_retries=self._promotion_retries,
         )
 
@@ -465,9 +319,7 @@ class TieredGraphView:
         cold label promoted mid-solve simply *appends* its freshly
         adopted rows to the concatenated block on its first batched
         product — labels already stacked are never re-copied (the
-        block grows geometrically, amortized O(1) per row).  A
-        demotion invalidates the label's segments; the boundary-time
-        :meth:`enforce_budget` compaction reclaims them.
+        block grows geometrically, amortized O(1) per row).
         """
         if self._batched is None:
             from repro.bitvec.kernel import BatchedBlockSet
@@ -520,8 +372,7 @@ class TieredGraphView:
     def __repr__(self) -> str:
         report = (
             f"cold={len(self._labels) - len(self._pairs)}, "
-            f"promoted={len(self._promoted)}, "
-            f"demoted={len(self._demoted)}"
+            f"promoted={len(self._pairs)}"
         )
         return (
             f"TieredGraphView(|O|={self.n_nodes}, "

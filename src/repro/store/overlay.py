@@ -66,8 +66,8 @@ class OverlayMatrices:
 
     Clean labels (no delta touching them, no new nodes) are served
     zero-copy from the base's mapping — for a snapshot base that keeps
-    tiered promotion/demotion semantics intact.  Dirty labels are
-    rebuilt lazily by the view and cached until their next mutation.
+    tiered promotion semantics intact.  Dirty labels are rebuilt
+    lazily by the view and cached until their next mutation.
     """
 
     def __init__(self, view: "OverlayGraphView"):
@@ -87,23 +87,6 @@ class OverlayMatrices:
         if label not in view.labels:  # e.g. fully retracted
             return default
         return view._pair_for(label)
-
-    def summaries(self, label: str) -> Optional[Tuple[Bitset, Bitset]]:
-        """(forward, backward) Eq. (13) summaries of the merged label.
-
-        Clean labels delegate to the base's promotion-free summary
-        path when it has one; dirty labels answer from the rebuilt
-        pair (whose summaries fall out of the build)."""
-        view = self._view
-        if view._is_clean(label):
-            base = view._base_matrices()
-            probe = getattr(base, "summaries", None)
-            if probe is not None:
-                return probe(label)
-        pair = self.get(label)
-        if pair is None:
-            return None
-        return (pair.forward.summary, pair.backward.summary)
 
     def __contains__(self, label: str) -> bool:
         return label in self._view.labels
@@ -304,17 +287,17 @@ class OverlayGraphView:
         if not touched and not new_nodes:
             return (0, touched, 0)
         self._epoch += 1
+        # Any change drops the batched block, as Graph does on a
+        # mutation: the next batched solve restacks what it touches.
+        self._batched = None
         for label in touched:
             self._label_epoch[label] = self._epoch
             self._pairs.pop(label, None)
-            if self._batched is not None:
-                self._batched.invalidate(label)
         if new_nodes:
-            # The index space grew: every cached pair (and the batched
-            # block, whose bit width is n) is the wrong shape now.
+            # The index space grew: every cached pair is the wrong
+            # shape now.
             self._node_epoch = self._epoch
             self._pairs.clear()
-            self._batched = None
         if n_add:
             registry().counter("overlay_adds_total").inc(n_add)
         if n_retract:
@@ -410,8 +393,8 @@ class OverlayGraphView:
     def batched_blocks(self):
         """The overlay's own multi-label block set (``batched``
         kernel) — separate from the base's, because dirty labels'
-        rebuilt pairs must shadow the base rows.  Recreated whenever
-        the node index space grows (the bit width changes)."""
+        rebuilt pairs must shadow the base rows.  Dropped by every
+        write that changes anything and recreated on the next use."""
         if self._batched is None:
             from repro.bitvec.kernel import BatchedBlockSet
 
@@ -652,7 +635,7 @@ class OverlayBackend:
 
     Wraps a frozen base backend plus the in-memory delta; the only
     backend whose capabilities include ``writable``.  Residency
-    budgeting delegates to the base (the delta is always resident —
+    reporting delegates to the base (the delta is always resident —
     it is the working set being edited).
     """
 
@@ -726,18 +709,6 @@ class OverlayBackend:
     def residency(self):
         return self.base.residency()
 
-    def set_residency_budget(self, budget: Optional[int]) -> None:
-        self.base.set_residency_budget(budget)
-
-    def enforce_residency_budget(self, budget: Optional[int]) -> int:
-        demoted = self.base.enforce_residency_budget(budget)
-        batched = self._view._batched
-        if batched is not None and batched.stale_rows:
-            # Base demotions orphan delegated segments in the
-            # overlay's block too; reclaim them at the same boundary.
-            batched.compact()
-        return demoted
-
     def stats(self) -> Dict[str, object]:
         return {
             "kind": self.kind,
@@ -750,6 +721,10 @@ class OverlayBackend:
             "delta_retracts": self._view.n_delta_retracted,
             "delta_new_nodes": self._view.n_new_nodes,
             "delta_labels": len(self._view.delta_labels()),
+            "batched_entries": (
+                0 if self._view._batched is None
+                else self._view._batched.n_entries
+            ),
             "join_index_fills": getattr(self._store, "fill_count", 0),
             "base": self.base.stats(),
         }

@@ -126,93 +126,60 @@ class TestLubmQueries:
         ask = f"ASK {{ {LUBM_QUERIES[name].split('{', 1)[1]}"
         assert memory.ask(ask) == snapshot.ask(ask)
 
-    def test_simulation_candidates_agree(self, lubm_pair):
-        memory, snapshot = lubm_pair
-        for name in ("L0", "L1"):
-            mem = memory.simulate(LUBM_QUERIES[name])
-            snap = snapshot.simulate(LUBM_QUERIES[name])
-            for mb, sb in zip(mem.branches, snap.branches):
-                assert mb.candidates == sb.candidates
-
-
-class TestTightBudgetColumn:
-    """The PR-5 column of the equivalence matrix: a snapshot session
-    under a deliberately pathological residency budget (1 byte —
-    smaller than any single label, so every query boundary demotes
-    everything) must answer every movie + LUBM query identically to
-    the unbudgeted in-memory session, in every mode."""
-
-    BUDGET = 1
-
     @pytest.fixture(scope="class")
-    def movie_budgeted(self, tmp_path_factory):
-        db = example_movie_database()
-        path = tmp_path_factory.mktemp("budget") / "movies.snap"
+    def lubm_trios(self, tmp_path_factory):
+        """Per kernel: memory, snapshot and edit sessions over LUBM(2)."""
+        db = generate_lubm(n_universities=2, seed=7, spiral_length=8)
+        path = tmp_path_factory.mktemp("trajectory") / "lubm.snap"
         write_snapshot(db, path)
-        memory = Database.in_memory(db)
-        budgeted = Database.open(
-            path,
-            profile=ExecutionProfile(residency_budget=self.BUDGET),
-            cached=False,
-        )
-        yield memory, budgeted
-        budgeted.close()
+        trios = {}
+        for kernel in ("packed", "batched"):
+            profile = ExecutionProfile(kernel=kernel)
+            trios[kernel] = {
+                "memory": Database.in_memory(db, profile=profile),
+                "snapshot": Database.open(
+                    path, profile=profile, cached=False
+                ),
+                "edit": Database.edit(path, profile=profile),
+            }
+        yield trios
+        for sessions in trios.values():
+            sessions["snapshot"].close()
+            sessions["edit"].close()
 
-    @pytest.fixture(scope="class")
-    def lubm_budgeted(self, tmp_path_factory):
-        db = generate_lubm(n_universities=1, seed=7, spiral_length=8)
-        path = tmp_path_factory.mktemp("budget") / "lubm.snap"
-        write_snapshot(db, path)
-        memory = Database.in_memory(db)
-        budgeted = Database.open(
-            path,
-            profile=ExecutionProfile(residency_budget=self.BUDGET),
-            cached=False,
-        )
-        yield memory, budgeted
-        budgeted.close()
+    def test_simulation_candidates_agree(self, lubm_trios):
+        """Same candidates *and* the same solver trajectory on every
+        backend, for every LUBM query under both fast kernels: each
+        backend reads Eq. (13) summaries off the pair its mapping
+        serves."""
 
-    @pytest.mark.parametrize("mode", ("full", "pruned", "auto"))
-    @pytest.mark.parametrize("name", sorted(MOVIE_QUERIES))
-    def test_movie_identical_under_budget(
-        self, movie_budgeted, name, mode
-    ):
-        memory, budgeted = movie_budgeted
-        query = MOVIE_QUERIES[name]
-        assert _canonical(memory.query(query, mode=mode)) == _canonical(
-            budgeted.query(query, mode=mode)
-        )
-        residency = budgeted.stats().residency
-        assert residency.resident_bytes <= self.BUDGET
+        def counters(report):
+            return (
+                report.rounds, report.evaluations,
+                report.updates, report.bits_removed,
+            )
 
-    @pytest.mark.parametrize("mode", ("full", "pruned", "auto"))
-    @pytest.mark.parametrize("name", sorted(LUBM_QUERIES))
-    def test_lubm_identical_under_budget(
-        self, lubm_budgeted, name, mode
-    ):
-        memory, budgeted = lubm_budgeted
-        query = LUBM_QUERIES[name]
-        assert _canonical(memory.query(query, mode=mode)) == _canonical(
-            budgeted.query(query, mode=mode)
-        )
-        residency = budgeted.stats().residency
-        assert residency.resident_bytes <= self.BUDGET
-
-    def test_budget_demotes_across_the_session(self, lubm_budgeted):
-        _, budgeted = lubm_budgeted
-        residency = budgeted.stats().residency
-        assert residency.demotions > 0
-        assert budgeted.stats().within_residency_budget is True
+        for kernel, sessions in lubm_trios.items():
+            for name in sorted(LUBM_QUERIES):
+                runs = {
+                    kind: db.simulate(LUBM_QUERIES[name]).branches
+                    for kind, db in sessions.items()
+                }
+                expected = runs.pop("memory")
+                for kind, branches in runs.items():
+                    where = (kernel, name, kind)
+                    assert len(branches) == len(expected), where
+                    for mine, theirs in zip(expected, branches):
+                        assert theirs.candidates == mine.candidates, where
+                        assert counters(theirs.report) == counters(
+                            mine.report
+                        ), where
 
 
 class TestKernelMatrix:
     """Every kernel must return byte-identical answers on every
-    backend — the PR-4 acceptance matrix (movie + LUBM queries across
-    packed/batched/reference, memory and cold snapshot), extended in
-    PR 5 with a tight-budget snapshot session per kernel (the LRU
-    demotion pass must be invisible to answers on every kernel)."""
-
-    BUDGET = 1
+    backend: movie + LUBM queries across packed/batched/reference,
+    memory and cold snapshot."""
 
     def _sessions_for(self, db, path):
         sessions = {}
@@ -221,13 +188,6 @@ class TestKernelMatrix:
             sessions[kernel] = (
                 Database.in_memory(db, profile=profile),
                 Database.open(path, profile=profile, cached=False),
-                Database.open(
-                    path,
-                    profile=profile.replace(
-                        residency_budget=self.BUDGET
-                    ),
-                    cached=False,
-                ),
             )
         return sessions
 
@@ -238,9 +198,8 @@ class TestKernelMatrix:
         write_snapshot(db, path)
         sessions = self._sessions_for(db, path)
         yield sessions
-        for _, snapshot, budgeted in sessions.values():
+        for _, snapshot in sessions.values():
             snapshot.close()
-            budgeted.close()
 
     @pytest.fixture(scope="class")
     def lubm_sessions(self, tmp_path_factory):
@@ -249,22 +208,16 @@ class TestKernelMatrix:
         write_snapshot(db, path)
         sessions = self._sessions_for(db, path)
         yield sessions
-        for _, snapshot, budgeted in sessions.values():
+        for _, snapshot in sessions.values():
             snapshot.close()
-            budgeted.close()
 
     def _assert_matrix(self, sessions, query):
         expected = None
         for kernel in KERNELS:
-            memory, snapshot, budgeted = sessions[kernel]
+            memory, snapshot = sessions[kernel]
             mem = _canonical(memory.query(query, mode="pruned"))
             snap = _canonical(snapshot.query(query, mode="pruned"))
-            capped = _canonical(budgeted.query(query, mode="pruned"))
             assert mem == snap, kernel
-            assert mem == capped, kernel
-            assert (
-                budgeted.stats().residency.resident_bytes <= self.BUDGET
-            ), kernel
             if expected is None:
                 expected = mem
             else:

@@ -53,9 +53,6 @@ def _sessions(graph, snapshot_path, profile):
     return {
         "in_memory": Database.in_memory(graph, profile=profile),
         "snapshot": Database.open(snapshot_path, profile=profile),
-        "snapshot+budget": Database.open(
-            snapshot_path, profile=profile.replace(residency_budget=0)
-        ),
     }
 
 

@@ -16,7 +16,6 @@ class TestValidation:
         assert profile.engine == "virtuoso-like"
         assert profile.pruning == "auto"
         assert profile.kernel is None
-        assert profile.residency_budget is None
         assert isinstance(profile.solver, SolverOptions)
 
     def test_unknown_engine_rejected(self):
@@ -30,10 +29,6 @@ class TestValidation:
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ReproError):
             ExecutionProfile(kernel="gpu")
-
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ReproError):
-            ExecutionProfile(residency_budget=-1)
 
     def test_frozen(self):
         profile = ExecutionProfile()

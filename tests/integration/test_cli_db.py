@@ -115,26 +115,6 @@ class TestDbQuery:
         assert "2 solutions" in output
         assert "2 promoted" in output
 
-    def test_query_with_budget_demotes(self, movie_nt, tmp_path):
-        snap = tmp_path / "budget.snap"
-        code, _ = run_cli(["db", "build", movie_nt, "-o", str(snap)])
-        assert code == 0
-        code, output = run_cli([
-            "db", "query", str(snap), self.X1,
-            "--mode", "pruned", "--budget", "1",
-        ])
-        assert code == 0
-        assert "2 solutions" in output  # answers unchanged
-        assert "budget 1 B" in output
-        assert "0 B resident" in output  # everything demoted
-        assert " demoted" in output
-
-    def test_info_shows_budget_guide(self, movie_snap):
-        code, output = run_cli(["db", "info", movie_snap])
-        assert code == 0
-        assert "residency budget guide:" in output
-        assert "largest label" in output
-
     def test_query_mode_pruned(self, movie_snap):
         code, output = run_cli([
             "db", "query", movie_snap, self.X1, "--mode", "pruned",

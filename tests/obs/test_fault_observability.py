@@ -62,7 +62,6 @@ class TestPromotionRetryObservability:
             with failing_promotions(n_failures) as faults, \
                     activate(tracer):
                 label = sorted(view.labels)[0]
-                view.demote(label) if view.is_resident(label) else None
                 view.promote(label)
             assert faults.injected == n_failures
         finally:
@@ -82,8 +81,7 @@ class TestPromotionRetryObservability:
         )
         try:
             label = sorted(view.labels)[0]
-            if view.is_resident(label):
-                view.demote(label)
+            assert not view.is_resident(label)  # a fresh view: cold
             with failing_promotions(1), activate(tracer):
                 view.promote(label)
         finally:

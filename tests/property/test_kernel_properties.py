@@ -333,12 +333,10 @@ def test_kernels_agree_after_midsolve_promotion(pattern, db, product):
                 edge.label for edge in expected.soi.edges
                 if edge.label in view.labels
             }
-            # Upper bound, not equality: summary initialization and
-            # the batched saturated-source shortcut are served from
-            # the promotion-free summary path, so a label whose
-            # products never run (empty rows, saturated sources)
-            # legitimately stays cold.
-            assert set(view.residency().promoted_labels) <= touched
+            # Summary initialization reads every edge label's pair,
+            # so exactly the query's labels promote, each once.
+            promoted = view.residency().promoted_labels
+            assert sorted(promoted) == sorted(touched)
             # Candidate *names*, not raw rows: the snapshot's node
             # numbering need not match the in-memory one.
             for var, reference_var in zip(

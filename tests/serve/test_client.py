@@ -99,7 +99,6 @@ class TestUnsupportedRemoteOperations:
     def test_residency_is_the_servers_concern(self, movie_server):
         backend = RemoteBackend(movie_server.url)
         assert backend.residency() is None
-        assert backend.enforce_residency_budget(1) == 0
 
     def test_stats_and_metrics_round_trip(self, movie_server):
         backend = RemoteBackend(movie_server.url)

@@ -175,3 +175,35 @@ class TestSolverOnView:
                                         "takesCourse"}
         assert all(not lubm_view.is_resident(lab) for lab in untouched
                    if lab not in promoted)
+
+
+class TestPromotionIsOnce:
+    """A label is promoted at most once per session: nothing ever
+    sends a resident label back to disk."""
+
+    @pytest.mark.parametrize("kernel", ("packed", "batched"))
+    def test_two_passes_promote_each_label_once(
+        self, small_lubm, tmp_path, kernel
+    ):
+        from repro import Database, ExecutionProfile
+        from repro.obs import registry
+        from repro.workloads import LUBM_QUERIES
+
+        path = tmp_path / "lubm.snap"
+        write_snapshot(small_lubm, path)
+        counter = registry().counter("promotions_total")
+        before = counter.value
+        with Database.open(
+            path, profile=ExecutionProfile(kernel=kernel), cached=False
+        ) as db:
+            for _ in range(2):
+                for mode in ("pruned", "full"):
+                    for name in sorted(LUBM_QUERIES):
+                        db.query(LUBM_QUERIES[name], mode=mode).rows()
+            report = db.stats().residency
+        promoted = report.promoted_labels
+        assert promoted
+        assert len(set(promoted)) == len(promoted)
+        assert report.promotions == report.resident_labels
+        assert report.promotions == len(promoted)
+        assert counter.value - before == report.promotions

@@ -149,13 +149,20 @@ class TestMergedView:
         assert overlay.graph.matrices().get("sequel_of") is None
 
     def test_summaries_match_pair(self, overlay):
+        """Every merged pair's Eq. (13) summaries are exactly the
+        sources and targets of its edges, clean and dirty labels
+        alike."""
         overlay.retract([("B. De Palma", "awarded", "Oscar")])
         matrices = overlay.graph.matrices()
         for label in sorted(overlay.labels):
-            fwd, bwd = matrices.summaries(label)
             pair = matrices[label]
-            assert fwd.to_frozenset() == pair.forward.summary.to_frozenset()
-            assert bwd.to_frozenset() == pair.backward.summary.to_frozenset()
+            edges = list(_edges(pair))
+            assert pair.forward.summary.to_frozenset() == {
+                s for s, _ in edges
+            }, label
+            assert pair.backward.summary.to_frozenset() == {
+                o for _, o in edges
+            }, label
 
     def test_clean_labels_served_zero_copy(self, overlay):
         base = overlay.base.graph.matrices()
@@ -303,6 +310,37 @@ class TestEditSessionStaysSparse:
             assert report.resident_bytes == sum(
                 _csr_bytes(pair) for pair in adopted.values()
             )
+
+
+class TestBatchedBlockOnWrite:
+    """A write drops the overlay's batched block, as a mutation drops
+    a :class:`~repro.graph.graph.Graph`'s; answers after the write
+    equal those of a session over the compacted snapshot."""
+
+    def test_write_drops_block_and_answers_match_compacted(
+        self, lubm_snapshot, tmp_path
+    ):
+        from repro import ExecutionProfile
+        from repro.workloads.queries import LUBM_QUERIES
+
+        profile = ExecutionProfile(kernel="batched", pruning="pruned")
+        query = LUBM_QUERIES["L0"]
+        with Database.edit(lubm_snapshot, profile=profile) as db:
+            before = db.query(query)
+            assert db.backend.stats()["batched_entries"] > 0
+            match = before.first()
+            db.retract(
+                [(match["student"], "advisor", match["professor"])]
+            )
+            assert db.backend.stats()["batched_entries"] == 0
+            live = db.query(query).as_set()
+            assert live != before.as_set()
+            compacted = tmp_path / "compacted.snap"
+            db.compact(compacted)
+        with Database.open(
+            compacted, profile=profile, cached=False
+        ) as folded:
+            assert live == folded.query(query).as_set()
 
 
 def _edges(pair):

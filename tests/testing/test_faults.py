@@ -9,7 +9,7 @@ transient promotion I/O is absorbed by the retry policy.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.api import Database, ExecutionProfile, clear_open_cache
+from repro.api import Database, ExecutionProfile
 from repro.errors import ReproError, SnapshotError
 from repro.graph import example_movie_database
 from repro.graph.io import save_ntriples
@@ -113,45 +113,50 @@ class TestCorruptionDetection:
 
 
 class TestPromotionFaults:
+    """Faults hit the first promotions of a fresh session; a clean
+    session over the same file answers the query first."""
+
     def _session(self, snapshot):
-        clear_open_cache()
         return Database.open(
             snapshot,
-            profile=ExecutionProfile(
-                pruning="pruned", residency_budget=0
-            ),
+            profile=ExecutionProfile(pruning="pruned"),
+            cached=False,
         )
 
+    def _expected(self, snapshot):
+        with self._session(snapshot) as db:
+            return db.query(QUERY).as_set()
+
     def test_transient_faults_absorbed_by_retry(self, snapshot):
-        db = self._session(snapshot)
-        expected = db.query(QUERY).as_set()  # primes + demotes (budget 0)
-        with failing_promotions(failures=2) as faults:
-            answer = db.query(QUERY).as_set()
-        assert answer == expected
-        assert faults.injected == 2
-        assert db.stats().residency.promotion_retries >= 2
+        expected = self._expected(snapshot)
+        with self._session(snapshot) as db:
+            with failing_promotions(failures=2) as faults:
+                answer = db.query(QUERY).as_set()
+            assert answer == expected
+            assert faults.injected == 2
+            assert db.stats().residency.promotion_retries >= 2
 
     def test_exhausted_retries_propagate(self, snapshot):
         from repro.storage import RetryPolicy
 
-        db = self._session(snapshot)
-        db.query(QUERY)
+        self._expected(snapshot)
         attempts = RetryPolicy().attempts
-        with failing_promotions(failures=attempts * 100):
-            with pytest.raises(OSError):
-                db.query(QUERY)
+        with self._session(snapshot) as db:
+            with failing_promotions(failures=attempts * 100):
+                with pytest.raises(OSError):
+                    db.query(QUERY)
 
     def test_corruption_is_never_retried(self, snapshot):
         from repro.errors import SnapshotCorruptError
 
-        db = self._session(snapshot)
-        db.query(QUERY)
-        with failing_promotions(
-            failures=1,
-            error=SnapshotCorruptError("poisoned", section="payload"),
-        ) as faults:
-            with pytest.raises(SnapshotCorruptError):
-                db.query(QUERY)
+        self._expected(snapshot)
+        with self._session(snapshot) as db:
+            with failing_promotions(
+                failures=1,
+                error=SnapshotCorruptError("poisoned", section="payload"),
+            ) as faults:
+                with pytest.raises(SnapshotCorruptError):
+                    db.query(QUERY)
         assert faults.injected == 1  # first strike, no retry
 
 

@@ -19,6 +19,12 @@ and :class:`~repro.store.engine.QueryEngine` no longer special-case
 memory vs snapshot, and other connectors (the mutable overlay, a
 remote store) slot in without touching the query
 layers.
+
+Every local backend's join store is the one
+:class:`~repro.store.triple_store.TripleStore`, over its graph view:
+opening it fills nothing, statistics come from the view's per-label
+counts, and a label's indexes are filled from the view's sorted
+``(s, o)`` columns on the first engine touch.
 """
 
 from __future__ import annotations
@@ -134,24 +140,23 @@ class GraphBackend(Protocol):
 class InMemoryBackend:
     """Backend over a fully materialized :class:`GraphDatabase`.
 
-    The join-engine store is built lazily on first
-    :meth:`triple_store` call, so solver-only sessions (``simulate``)
-    never pay for the dictionary-encoded indexes.  ``graph_db`` may be
-    any object with the :class:`~repro.graph.graph.Graph` read
-    interface and ``triples()`` (a :class:`GraphDatabase`, a
+    The join-engine store fills a label's indexes from the graph's
+    CSR columns on its first engine touch, so solver-only sessions
+    (``simulate``) never pay for the dictionary-encoded indexes.
+    ``graph_db`` may be any object with the
+    :class:`~repro.graph.graph.Graph` read interface, ``triples()``
+    and the store's column-source pair ``edge_columns`` /
+    ``label_counts`` (a :class:`GraphDatabase`, a
     :class:`~repro.storage.TieredGraphView`, ...).
     """
 
     kind = "memory"
 
-    def __init__(self, graph_db=None, store: Optional[TripleStore] = None):
+    def __init__(self, graph_db=None):
         if graph_db is None:
-            graph_db = (
-                store.to_graph_database()
-                if store is not None else GraphDatabase()
-            )
+            graph_db = GraphDatabase()
         self._graph = graph_db
-        self._store = store
+        self._store: Optional[TripleStore] = None
         # Mark the database as session-owned so direct GraphDatabase
         # mutation (the pre-write-API idiom) can warn once and point at
         # Database.add/retract.  Foreign graph-likes (TieredGraphView,
@@ -210,13 +215,14 @@ class SnapshotBackend:
     """Backend over an on-disk snapshot (``repro-snap`` v4).
 
     The solver side is a :class:`TieredGraphView` — labels promoted
-    on first query touch.
-    The join-engine store is a
-    :class:`~repro.store.lazy.LazySnapshotStore`: constructing it
-    adopts the dictionaries and array-table statistics in
-    O(dictionary) and fills pso/pos indexes one predicate at a time
-    on first engine touch, so even sessions that *do* join open in
-    milliseconds and only read the predicates their queries use.
+    on first query touch.  The join-engine store is a
+    :class:`~repro.store.triple_store.TripleStore` over the same view:
+    constructing it adopts the dictionaries in O(dictionary), its
+    statistics come from the array table, and a label's pso/pos
+    indexes are filled from its forward arrays, read as a promotion
+    reads them (checked, under the view's retry policy), on first
+    engine touch — so even sessions that *do* join open in
+    milliseconds and only read the labels their queries use.
     :meth:`stats` reports ``join_index_fills`` next to the residency
     promotion counters.
     """
@@ -248,9 +254,7 @@ class SnapshotBackend:
 
     def triple_store(self) -> TripleStore:
         if self._store is None:
-            from repro.store.lazy import LazySnapshotStore
-
-            self._store = LazySnapshotStore(self.reader)
+            self._store = TripleStore.from_graph_database(self._view)
         return self._store
 
     @property

@@ -31,6 +31,7 @@ from repro.bitvec.kernel import (
 from repro.bitvec.matrix import (
     AdjacencyMatrix,
     LabelMatrixPair,
+    NO_EDGES,
     build_label_matrices,
 )
 
@@ -38,6 +39,7 @@ __all__ = [
     "Bitset",
     "AdjacencyMatrix",
     "LabelMatrixPair",
+    "NO_EDGES",
     "build_label_matrices",
     "BatchedBlockSet",
     "KERNELS",

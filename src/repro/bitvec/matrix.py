@@ -67,6 +67,13 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+#: The ``(s, o)`` columns of a label without edges.
+NO_EDGES: Tuple[np.ndarray, np.ndarray] = (
+    _frozen(np.empty(0, dtype=np.int64)),
+    _frozen(np.empty(0, dtype=np.int64)),
+)
+
+
 def _check_range(n: int, *columns: np.ndarray) -> None:
     for column in columns:
         if column.size and (column.min() < 0 or column.max() >= n):
@@ -437,6 +444,15 @@ class LabelMatrixPair:
         forward CSR's lists, cached with it (so an added edge, a
         or a rebuilt pair drops them too)."""
         return self.forward.edge_columns()
+
+    def label_counts(self) -> Tuple[int, int, int]:
+        """``(edges, distinct subjects, distinct objects)``: the edge
+        count and the two directions' CSR row counts."""
+        return (
+            self.n_edges,
+            int(self.forward._csr()[0].size),
+            int(self.backward._csr()[0].size),
+        )
 
     def pack(self) -> "LabelMatrixPair":
         """Pack both directions (idempotent); returns self."""

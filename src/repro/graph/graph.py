@@ -12,7 +12,14 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Iterator, List, Set, Tuple
 
-from repro.bitvec import Bitset, LabelMatrixPair, build_label_matrices
+import numpy as np
+
+from repro.bitvec import (
+    NO_EDGES,
+    Bitset,
+    LabelMatrixPair,
+    build_label_matrices,
+)
 from repro.errors import GraphError
 
 Edge = Tuple[Hashable, str, Hashable]
@@ -177,6 +184,18 @@ class Graph:
 
     def label_matrix(self, label: str) -> LabelMatrixPair | None:
         return self.matrices().get(label)
+
+    # -- column source of the join store ---------------------------------
+
+    def edge_columns(self, label: str) -> Tuple[np.ndarray, np.ndarray]:
+        """The label's sorted ``(s, o)`` columns (its forward CSR)."""
+        pair = self.matrices().get(label)
+        return NO_EDGES if pair is None else pair.edge_columns()
+
+    def label_counts(self, label: str) -> Tuple[int, int, int]:
+        """``(edges, distinct subjects, distinct objects)``."""
+        pair = self.matrices().get(label)
+        return (0, 0, 0) if pair is None else pair.label_counts()
 
     def batched_blocks(self):
         """The graph's shared multi-label block set (``batched`` kernel).

@@ -18,7 +18,6 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
-from repro._deprecation import deprecated_call
 from repro.core.checkpoint import (
     ExecutionLimits,
     PHASE_DYNAMIC,
@@ -178,29 +177,19 @@ class PruningPipeline:
         db: Optional[GraphDatabase] = None,
         profile: str = "rdfox-like",
         solver_options: Optional[SolverOptions] = None,
-        store: Optional[TripleStore] = None,
         *,
         backend=None,
     ):
         if backend is None:
             from repro.api.backend import InMemoryBackend
 
-            if store is not None:
-                deprecated_call(
-                    "PruningPipeline(store=...)",
-                    "passing store= to PruningPipeline is deprecated; "
-                    "construct a repro.Database (or pass backend=) "
-                    "instead",
-                )
-            if db is None and store is None:
+            if db is None:
                 raise ValueError(
                     "PruningPipeline needs a database or a backend"
                 )
-            backend = InMemoryBackend(db, store=store)
-        elif db is not None or store is not None:
-            raise ValueError(
-                "pass either backend= or db/store, not both"
-            )
+            backend = InMemoryBackend(db)
+        elif db is not None:
+            raise ValueError("pass either backend= or db, not both")
         self.backend = backend
         self.db = backend.graph
         self.profile = profile

@@ -397,8 +397,12 @@ class SnapshotReader:
         """On-disk array bytes of both directions of one label."""
         return sum(self._entry(label, d).nbytes for d in DIRECTIONS)
 
-    def n_label_edges(self, label: str) -> int:
-        return self._entry(label, "forward").n_edges
+    def label_counts(self, label: str) -> Tuple[int, int, int]:
+        """``(edges, distinct subjects, distinct objects)`` of one
+        label, from the array table: nothing is read or checked."""
+        forward = self._entry(label, "forward")
+        backward = self._entry(label, "backward")
+        return (forward.n_edges, forward.n_rows, backward.n_rows)
 
     # -- whole-graph iteration ----------------------------------------------
 
@@ -488,7 +492,7 @@ class SnapshotReader:
             labels=[
                 LabelBlockInfo(
                     label=label,
-                    n_edges=self.n_label_edges(label),
+                    n_edges=self.label_counts(label)[0],
                     payload_bytes=self.payload_bytes(label),
                 )
                 for label in self._predicate_terms

@@ -24,6 +24,12 @@ mixed-residency comparison (Sect. 3.3).  The adopted arrays are
 read-only views over the snapshot's mmap, so their bytes live in the
 OS page cache, which already evicts them under memory pressure.
 
+The view is also the join store's column source
+(:class:`~repro.store.triple_store.TripleStore`): ``label_counts``
+answers from the array table, and ``edge_columns`` reads a cold
+label's forward arrays as a promotion does — checked, under the
+view's :class:`RetryPolicy` — without making it resident.
+
 A view is read-only; it intentionally does **not** implement the
 mutation or set-based traversal surface of :class:`Graph` (``add_edge``,
 ``successors`` over Python sets, ...).  Materialize via
@@ -48,7 +54,9 @@ from typing import (
     Union,
 )
 
-from repro.bitvec import AdjacencyMatrix, Bitset, LabelMatrixPair
+import numpy as np
+
+from repro.bitvec import NO_EDGES, AdjacencyMatrix, Bitset, LabelMatrixPair
 from repro.errors import GraphError, SnapshotError
 from repro.obs.logs import get_logger
 from repro.obs.metrics import registry
@@ -329,6 +337,31 @@ class TieredGraphView:
 
     def label_matrix(self, label: str) -> LabelMatrixPair | None:
         return self._pair(label)
+
+    # -- column source of the join store ---------------------------------
+
+    def edge_columns(self, label: str) -> Tuple[np.ndarray, np.ndarray]:
+        """The label's sorted ``(s, o)`` columns: a resident pair's, or
+        the forward arrays read as a promotion reads them (checked,
+        under the retry policy) without making the label resident, so
+        residency stays what the solver touched."""
+        pair = self._pairs.get(label)
+        if pair is not None:
+            return pair.edge_columns()
+        if label not in self._label_set:
+            return NO_EDGES
+        reader = self.reader
+        rows, indptr, objects = self._with_retries(
+            lambda: reader.csr(label, "forward")
+        )
+        return np.repeat(rows, np.diff(indptr)), objects
+
+    def label_counts(self, label: str) -> Tuple[int, int, int]:
+        """``(edges, distinct subjects, distinct objects)`` from the
+        array table; promotes nothing."""
+        if label not in self._label_set:
+            return (0, 0, 0)
+        return self.reader.label_counts(label)
 
     def nodes(self) -> Iterator[Hashable]:
         return iter(self._names)

@@ -26,11 +26,12 @@ Every mutation batch bumps an **epoch** and stamps the touched labels;
 fixpoint maintenance layer (:mod:`repro.core.incremental`) uses to
 decide which solver variables a delta can re-activate.
 
-The join-engine store (:class:`OverlayTripleStore`) mirrors
-:class:`~repro.store.lazy.LazySnapshotStore`: per-predicate lazy fill
-from the overlay's merged adjacency, decode-free statistics delegated
-to the base store for clean predicates, and mutation pushed in by the
-backend invalidating exactly the touched predicates' indexes.
+The view is also the join store's column source: the backend's
+:class:`~repro.store.triple_store.TripleStore` fills a delta-free
+label from the base view's columns and a dirty label from its
+rebuilt pair, and counts both without a fill.  A write is one
+:meth:`~repro.store.triple_store.TripleStore.invalidate` of the
+touched labels plus growth of the store's node dictionary.
 """
 
 from __future__ import annotations
@@ -40,15 +41,15 @@ from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tupl
 
 import numpy as np
 
-from repro.bitvec import AdjacencyMatrix, Bitset, LabelMatrixPair
-from repro.errors import GraphError, StoreError
+from repro.bitvec import NO_EDGES, AdjacencyMatrix, Bitset, LabelMatrixPair
+from repro.errors import GraphError
 from repro.graph.database import Literal
 from repro.obs.metrics import registry
 from repro.obs.trace import current_tracer
 from repro.rdf.dictionary import TermDictionary
-from repro.store.triple_store import IdTriple, NameTriple, TripleStore
+from repro.store.triple_store import NameTriple, TripleStore
 
-__all__ = ["OverlayBackend", "OverlayGraphView", "OverlayTripleStore"]
+__all__ = ["OverlayBackend", "OverlayGraphView"]
 
 IdPair = Tuple[int, int]
 
@@ -390,6 +391,29 @@ class OverlayGraphView:
     def label_matrix(self, label: str) -> Optional[LabelMatrixPair]:
         return self._matrices.get(label)
 
+    # -- column source of the join store -----------------------------------
+
+    def _delta_free(self, label: str) -> bool:
+        """No delta edge touches ``label``: its columns are the base's
+        (new nodes only extend the index space)."""
+        return not self._adds.get(label) and not self._retracts.get(label)
+
+    def edge_columns(self, label: str) -> Tuple[np.ndarray, np.ndarray]:
+        """A delta-free label's columns from the base, a dirty label's
+        from its rebuilt pair."""
+        if self._delta_free(label):
+            return self._base_graph.edge_columns(label)
+        pair = self._pair_for(label)
+        return NO_EDGES if pair is None else pair.edge_columns()
+
+    def label_counts(self, label: str) -> Tuple[int, int, int]:
+        """A delta-free label's counts from the base (decode-free over
+        a snapshot), a dirty label's from its rebuilt pair."""
+        if self._delta_free(label):
+            return self._base_graph.label_counts(label)
+        pair = self._pair_for(label)
+        return (0, 0, 0) if pair is None else pair.label_counts()
+
     def batched_blocks(self):
         """The overlay's own multi-label block set (``batched``
         kernel) — separate from the base's, because dirty labels'
@@ -456,180 +480,6 @@ class OverlayGraphView:
         )
 
 
-class OverlayTripleStore(TripleStore):
-    """Join-engine store over the overlay, filled per predicate.
-
-    Node ids equal the overlay view's node indices (the base's ids
-    extended by delta nodes in insertion order), so the engine, the
-    statistics, and the solver all speak one id space.  Mutations are
-    pushed in by the backend (:meth:`on_mutation`) and invalidate
-    exactly the touched predicates' filled indexes; clean predicates'
-    statistics delegate to the base store's decode-free path.
-    """
-
-    def __init__(self, view: OverlayGraphView):
-        super().__init__()
-        self._view = view
-        self.nodes = TermDictionary.from_terms(view.nodes())
-        self.predicates = TermDictionary()
-        for label in sorted(view.labels, key=repr):
-            self.predicates.encode(label)
-        self._size = view.n_edges
-        self._filled: Set[int] = set()
-        self.fill_count = 0
-        self._base_store_cache: Optional[TripleStore] = None
-
-    # -- construction is sealed --------------------------------------------
-
-    def add(self, subject, predicate, obj) -> bool:
-        raise StoreError(
-            "overlay store is read-only; mutate through "
-            "Database.add / Database.retract"
-        )
-
-    def _add_ids(self, s: int, p: int, o: int) -> bool:
-        raise StoreError(
-            "overlay store is read-only; mutate through "
-            "Database.add / Database.retract"
-        )
-
-    # -- mutation push-sync --------------------------------------------------
-
-    def on_mutation(self, touched: Set[str], new_nodes: int) -> None:
-        """Invalidate the touched predicates' indexes and adopt any
-        new terms; called by the backend after each applied batch."""
-        if new_nodes:
-            for name in self._view.nodes():
-                self.nodes.encode(name)  # append-only; existing ids stable
-        for label in sorted(touched, key=repr):
-            p = self.predicates.lookup(label)
-            if p is None:
-                self.predicates.encode(label)
-                continue
-            if p in self._filled:
-                self._filled.discard(p)
-                self._pso.pop(p, None)
-                self._pos.pop(p, None)
-        self._size = self._view.n_edges
-
-    # -- lazy fill -----------------------------------------------------------
-
-    def _ensure(self, p: int) -> None:
-        if p in self._filled:
-            return
-        if p < 0 or p >= len(self.predicates):
-            return
-        pair = self._view.matrices().get(self.predicates.decode(p))
-        if pair is None:
-            self._pso[p] = {}
-            self._pos[p] = {}
-        else:
-            self._fill_columns(p, *pair.edge_columns())
-        self._filled.add(p)
-        self.fill_count += 1
-        registry().counter("join_index_fills_total").inc()
-
-    def _ensure_all(self) -> None:
-        for p in range(len(self.predicates)):
-            self._ensure(p)
-
-    def fill_all(self) -> None:
-        self._ensure_all()
-
-    @property
-    def filled_predicates(self):
-        return frozenset(self._filled)
-
-    # -- statistics (clean predicates stay decode-free) ----------------------
-
-    def _base_stat(self, p: int, method: str) -> Optional[int]:
-        """A clean predicate's statistic from the base store (for a
-        snapshot base that path is decode-free), or ``None`` when the
-        predicate is dirty and must be answered from a fill."""
-        label = self.predicates.decode(p)
-        if not self._view._is_clean(label):
-            return None
-        if self._base_store_cache is None:
-            self._base_store_cache = self._view._base.triple_store()
-        base = self._base_store_cache
-        bp = base.predicates.lookup(label)
-        if bp is None:
-            return 0
-        return getattr(base, method)(bp)
-
-    def predicate_count(self, p: int) -> int:
-        if p in self._filled:
-            return super().predicate_count(p)
-        if p < 0 or p >= len(self.predicates):
-            return 0
-        stat = self._base_stat(p, "predicate_count")
-        if stat is not None:
-            return stat
-        self._ensure(p)
-        return super().predicate_count(p)
-
-    def distinct_subjects(self, p: int) -> int:
-        if p in self._filled:
-            return super().distinct_subjects(p)
-        if p < 0 or p >= len(self.predicates):
-            return 0
-        stat = self._base_stat(p, "distinct_subjects")
-        if stat is not None:
-            return stat
-        self._ensure(p)
-        return super().distinct_subjects(p)
-
-    def distinct_objects(self, p: int) -> int:
-        if p in self._filled:
-            return super().distinct_objects(p)
-        if p < 0 or p >= len(self.predicates):
-            return 0
-        stat = self._base_stat(p, "distinct_objects")
-        if stat is not None:
-            return stat
-        self._ensure(p)
-        return super().distinct_objects(p)
-
-    def predicate_ids(self) -> Iterator[int]:
-        return iter(range(len(self.predicates)))
-
-    # -- index-backed reads fill first ---------------------------------------
-
-    def contains_ids(self, s: int, p: int, o: int) -> bool:
-        self._ensure(p)
-        return super().contains_ids(s, p, o)
-
-    def objects(self, s: int, p: int) -> Set[int]:
-        self._ensure(p)
-        return super().objects(s, p)
-
-    def subjects(self, p: int, o: int) -> Set[int]:
-        self._ensure(p)
-        return super().subjects(p, o)
-
-    def pairs(self, p: int) -> Iterator[Tuple[int, int]]:
-        self._ensure(p)
-        return super().pairs(p)
-
-    def match_ids(
-        self,
-        s: Optional[int],
-        p: Optional[int],
-        o: Optional[int],
-    ) -> Iterator[IdTriple]:
-        if p is not None:
-            self._ensure(p)
-        else:
-            self._ensure_all()
-        return super().match_ids(s, p, o)
-
-    def __repr__(self) -> str:
-        return (
-            f"OverlayTripleStore(triples={self._size}, "
-            f"filled={len(self._filled)}/{len(self.predicates)})"
-        )
-
-
 class OverlayBackend:
     """The writable :class:`~repro.api.backend.GraphBackend`.
 
@@ -644,7 +494,7 @@ class OverlayBackend:
     def __init__(self, base):
         self.base = base
         self._view = OverlayGraphView(base)
-        self._store: Optional[OverlayTripleStore] = None
+        self._store: Optional[TripleStore] = None
 
     def capabilities(self):
         from repro.api.backend import BackendCapabilities, backend_capabilities
@@ -670,8 +520,15 @@ class OverlayBackend:
         return applied
 
     def _sync_store(self, touched: Set[str], new_nodes: int) -> None:
-        if self._store is not None and (touched or new_nodes):
-            self._store.on_mutation(touched, new_nodes)
+        """Grow the store's node dictionary by the new nodes and drop
+        the touched labels' indexes."""
+        store = self._store
+        if store is None:
+            return
+        view = self._view
+        for index in range(len(store.nodes), view.n_nodes):
+            store.nodes.encode(view.node_name(index))
+        store.invalidate(touched)
 
     @property
     def epoch(self) -> int:
@@ -684,8 +541,17 @@ class OverlayBackend:
         return self._view
 
     def triple_store(self) -> TripleStore:
+        """The join store over the merged view.  Node ids are the
+        view's node indices (the base's, then delta nodes in insertion
+        order); labels are numbered in ``repr`` order, later ones
+        appended."""
         if self._store is None:
-            self._store = OverlayTripleStore(self._view)
+            view = self._view
+            self._store = TripleStore(
+                view,
+                TermDictionary.from_terms(view.nodes()),
+                TermDictionary.from_terms(sorted(view.labels, key=repr)),
+            )
         return self._store
 
     def batched_blocks(self):

@@ -1,25 +1,77 @@
-"""In-memory dictionary-encoded triple store with SPO-style indexes.
+"""Dictionary-encoded triple store with per-label SPO-style indexes.
 
 This is the substrate standing in for the graph database systems of
 the paper's evaluation (Virtuoso, RDFox): triples are dictionary
 encoded (one dense id space for nodes, one for predicates) and indexed
 per predicate both subject->objects and object->subjects, so every
 bound/unbound access pattern of a triple lookup is served by an index.
+
+The store holds no triples of its own.  It reads them, one label at
+a time, from a :class:`ColumnSource` — the database as its per-label
+adjacency ``F_a`` / ``B_a`` (paper Sect. 3.2–3.3).  Every backend's
+graph view is one (:class:`~repro.graph.graph.Graph`,
+:class:`~repro.storage.TieredGraphView`,
+:class:`~repro.store.overlay.OverlayGraphView`), and so is a
+:class:`~repro.core.pruning.PruneResult`:
+
+* a label's pso (pos) index is filled from its sorted ``(s, o)``
+  columns on the first lookup that reads it (:meth:`_fill_columns`) —
+  a lookup pattern reads one direction, so the other may never be
+  built; a fully wildcard pattern fills every label;
+* ``predicate_count`` / ``distinct_subjects`` / ``distinct_objects``
+  come from the source's per-label counts and fill nothing, so
+  :class:`~repro.store.statistics.StoreStatistics` (join ordering, the
+  pruning advisor) never decodes an adjacency payload;
+* a source whose triples change (the overlay) calls
+  :meth:`invalidate` with the touched labels.
+
+Fills of a session's store count in :attr:`fill_count` and the
+process-wide ``join_index_fills_total`` counter, which
+:meth:`~repro.api.backend.SnapshotBackend.stats` reports next to the
+promotion counters.  The store has no write surface: mutate through
+:meth:`repro.api.database.Database.add` / ``retract``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, Optional, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    Iterator,
+    Optional,
+    Protocol,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
-from repro.errors import StoreError
-from repro.graph.database import GraphDatabase, Literal
-from repro.graph.graph import Graph
+from repro.errors import GraphError, StoreError
+from repro.graph.database import GraphDatabase
+from repro.obs.metrics import registry
 from repro.rdf.dictionary import TermDictionary
 
 IdTriple = Tuple[int, int, int]
 NameTriple = Tuple[Hashable, str, Hashable]
+#: ``(edges, distinct subjects, distinct objects)`` of one label.
+LabelCounts = Tuple[int, int, int]
+
+
+class ColumnSource(Protocol):
+    """What a :class:`TripleStore` fills its indexes from."""
+
+    def edge_columns(self, label: Hashable) -> Tuple[np.ndarray, np.ndarray]:
+        """The label's ``(s, o)`` int64 columns, sorted by subject
+        then object, without repeats (its forward CSR); empty columns
+        for a label without edges."""
+        ...
+
+    def label_counts(self, label: Hashable) -> LabelCounts:
+        """``(edges, distinct subjects, distinct objects)`` of the
+        label, decode-free where the source can."""
+        ...
 
 
 def _index(keys: np.ndarray, values: np.ndarray) -> Dict[int, Set[int]]:
@@ -36,107 +88,136 @@ def _index(keys: np.ndarray, values: np.ndarray) -> Dict[int, Set[int]]:
 
 
 class TripleStore:
-    """Dictionary-encoded triple store.
+    """Dictionary-encoded triple store over a column source.
 
     Node ids and predicate ids live in separate spaces (mirroring the
-    paper's node set vs. label alphabet).  All read paths are index
-    lookups; full scans only happen for fully unbound patterns.
+    paper's node set vs. label alphabet); node ids are the source's
+    node indices.  ``count_fills=False`` marks a per-query store (the
+    pruned store), whose fills are not a session's join-index fills.
     """
 
-    def __init__(self):
-        self.nodes = TermDictionary()
-        self.predicates = TermDictionary()
-        # p -> s -> set(o)   and   p -> o -> set(s)
+    def __init__(
+        self,
+        source: ColumnSource,
+        nodes: TermDictionary,
+        predicates: TermDictionary,
+        *,
+        count_fills: bool = True,
+    ):
+        self.source = source
+        self.nodes = nodes
+        self.predicates = predicates
+        self._count_fills = count_fills
+        # p -> s -> set(o)   and   p -> o -> set(s), per filled label
         self._pso: Dict[int, Dict[int, Set[int]]] = {}
         self._pos: Dict[int, Dict[int, Set[int]]] = {}
-        self._size = 0
-
-    # -- construction ------------------------------------------------------
-
-    def add(self, subject: Hashable, predicate: str | Hashable, obj: Hashable) -> bool:
-        """Insert a triple; returns True when it was new."""
-        if isinstance(subject, Literal):
-            raise StoreError("literals may not be subjects")
-        s = self.nodes.encode(subject)
-        p = self.predicates.encode(predicate)
-        o = self.nodes.encode(obj)
-        return self._add_ids(s, p, o)
-
-    def _add_ids(self, s: int, p: int, o: int) -> bool:
-        return self._add_all(((s, p, o),)) == 1
-
-    def _add_all(self, id_triples: Iterable[IdTriple]) -> int:
-        """Insert id triples; returns how many were new."""
-        pso, pos = self._pso, self._pos
-        added = 0
-        for s, p, o in id_triples:
-            objects = pso.setdefault(p, {}).setdefault(s, set())
-            if o in objects:
-                continue
-            objects.add(o)
-            pos.setdefault(p, {}).setdefault(o, set()).add(s)
-            added += 1
-        self._size += added
-        return added
-
-    def _fill_columns(
-        self, p: int, subjects: np.ndarray, objects: np.ndarray
-    ) -> None:
-        """Set predicate ``p``'s indexes from its int64 ``(s, o)``
-        columns, sorted by subject and without repeats (a label's
-        forward CSR); one stable sort by object gives the reverse
-        index.  Leaves the triple count alone."""
-        by_object = np.argsort(objects, kind="stable")
-        self._pso[p] = _index(subjects, objects)
-        self._pos[p] = _index(objects[by_object], subjects[by_object])
+        self._counts: Dict[int, LabelCounts] = {}
+        #: Per-label fills so far (0 == nothing was decoded).
+        self.fill_count = 0
 
     @classmethod
-    def from_triples(cls, triples: Iterable[NameTriple]) -> "TripleStore":
-        store = cls()
-        for s, p, o in triples:
-            store.add(s, p, o)
-        return store
-
-    @classmethod
-    def from_graph_database(cls, db: GraphDatabase) -> "TripleStore":
-        """A store over ``db`` in ``db``'s own id space.
+    def from_graph_database(cls, db) -> "TripleStore":
+        """A store over the graph view ``db`` in ``db``'s own id space.
 
         Node ids are ``db``'s node indices and predicate ids follow
         the sorted label order, as in a snapshot, so the solver's rows
-        and this store's ids index the same nodes.
+        and this store's ids index the same nodes.  Nothing is filled.
         """
-        store = cls()
-        store.nodes = TermDictionary.from_terms(db.nodes())
-        store.predicates = TermDictionary.from_terms(sorted(db.labels))
-        if isinstance(db, Graph):
-            edges = db.indexed_edges()
-        else:  # a graph-like view, e.g. a TieredGraphView
-            node_id = store.nodes.lookup
-            edges = (
-                (node_id(s), p, node_id(o)) for s, p, o in db.triples()
-            )
-        predicate_id = store.predicates.lookup
-        store._add_all((s, predicate_id(p), o) for s, p, o in edges)
-        return store
+        return cls(
+            db,
+            TermDictionary.from_terms(db.nodes()),
+            TermDictionary.from_terms(sorted(db.labels)),
+        )
 
-    def to_graph_database(self) -> GraphDatabase:
-        """The graph of this store; its node indices are this store's
-        node ids."""
-        db = GraphDatabase()
-        for name in self.nodes.terms():
-            db.add_node(name)
-        for s, p, o in self.triples():
-            db.add_triple(s, p, o)
-        return db
+    @classmethod
+    def from_triples(cls, triples: Iterable[NameTriple]) -> "TripleStore":
+        """A store over a fresh graph of ``triples``."""
+        try:
+            db = GraphDatabase.from_triples(triples)
+        except GraphError as error:
+            raise StoreError(str(error)) from error
+        return cls.from_graph_database(db)
 
-    # -- size / membership ----------------------------------------------------
+    # -- per-label fill ----------------------------------------------------
+
+    def _fill_columns(
+        self, p: int, by_object: bool
+    ) -> Optional[Dict[int, Set[int]]]:
+        """Predicate ``p``'s ``s -> {o}`` (or ``o -> {s}``) index,
+        filled from its source columns on first use; ``None`` for an
+        id outside the dictionary.  Each direction fills on its own: a
+        lookup pattern reads one of them."""
+        indexes = self._pos if by_object else self._pso
+        index = indexes.get(p)
+        if index is not None or not 0 <= p < len(self.predicates):
+            return index
+        label = self.predicates.decode(p)
+        subjects, objects = self.source.edge_columns(label)
+        if by_object:  # one stable sort by object: subjects stay sorted
+            order = np.argsort(objects, kind="stable")
+            index = _index(objects[order], subjects[order])
+        else:
+            index = _index(subjects, objects)
+        if p not in self._pso and p not in self._pos:
+            self.fill_count += 1
+            if self._count_fills:
+                registry().counter("join_index_fills_total").inc()
+        indexes[p] = index
+        return index
+
+    def fill_all(self) -> None:
+        """Fill both indexes of every predicate (idempotent)."""
+        for p in range(len(self.predicates)):
+            self._fill_columns(p, by_object=False)
+            self._fill_columns(p, by_object=True)
+
+    @property
+    def filled_predicates(self) -> FrozenSet[int]:
+        return frozenset(self._pso) | frozenset(self._pos)
+
+    def invalidate(self, labels: Iterable[Hashable]) -> None:
+        """Drop the indexes and counts of labels whose triples changed;
+        a label new to the store gets the next predicate id."""
+        for label in sorted(labels, key=repr):
+            p = self.predicates.encode(label)
+            self._pso.pop(p, None)
+            self._pos.pop(p, None)
+            self._counts.pop(p, None)
+
+    # -- size / statistics (decode-free) --------------------------------------
+
+    def _label_counts(self, p: int) -> LabelCounts:
+        counts = self._counts.get(p)
+        if counts is None:
+            if not 0 <= p < len(self.predicates):
+                return (0, 0, 0)
+            counts = self.source.label_counts(self.predicates.decode(p))
+            self._counts[p] = counts
+        return counts
+
+    def predicate_count(self, p: int) -> int:
+        return self._label_counts(p)[0]
+
+    def distinct_subjects(self, p: int) -> int:
+        return self._label_counts(p)[1]
+
+    def distinct_objects(self, p: int) -> int:
+        return self._label_counts(p)[2]
+
+    def predicate_ids(self) -> Iterator[int]:
+        """Ids of the predicates that carry at least one triple."""
+        return (
+            p for p in range(len(self.predicates)) if self.predicate_count(p)
+        )
 
     @property
     def n_triples(self) -> int:
-        return self._size
+        return sum(
+            self.predicate_count(p) for p in range(len(self.predicates))
+        )
 
     def __len__(self) -> int:
-        return self._size
+        return self.n_triples
 
     @property
     def n_nodes(self) -> int:
@@ -149,8 +230,10 @@ class TripleStore:
     def predicate_names(self) -> Iterator[Hashable]:
         return self.predicates.terms()
 
+    # -- lookups (fill the touched label first) -------------------------------
+
     def contains_ids(self, s: int, p: int, o: int) -> bool:
-        by_subject = self._pso.get(p)
+        by_subject = self._fill_columns(p, by_object=False)
         if by_subject is None:
             return False
         objects = by_subject.get(s)
@@ -164,51 +247,25 @@ class TripleStore:
             return False
         return self.contains_ids(s, p, o)
 
-    # -- id-level lookups -------------------------------------------------------
-
-    def objects(self, s: int, p: int) -> Set[int]:
-        """All o with (s, p, o) in the store."""
-        return self._pso.get(p, {}).get(s, set())
-
-    def subjects(self, p: int, o: int) -> Set[int]:
-        """All s with (s, p, o) in the store."""
-        return self._pos.get(p, {}).get(o, set())
-
-    def pairs(self, p: int) -> Iterator[Tuple[int, int]]:
-        """All (s, o) with (s, p, o) in the store."""
-        for s, objects in self._pso.get(p, {}).items():
-            for o in objects:
-                yield (s, o)
-
-    def predicate_count(self, p: int) -> int:
-        return sum(len(objs) for objs in self._pso.get(p, {}).values())
-
-    def distinct_subjects(self, p: int) -> int:
-        return len(self._pso.get(p, {}))
-
-    def distinct_objects(self, p: int) -> int:
-        return len(self._pos.get(p, {}))
-
-    def predicate_ids(self) -> Iterator[int]:
-        return iter(self._pso.keys())
-
     def match_ids(
         self,
         s: Optional[int],
         p: Optional[int],
         o: Optional[int],
     ) -> Iterator[IdTriple]:
-        """Iterate id-triples matching the given pattern (None = wildcard)."""
-        predicates: Iterable[int]
-        if p is not None:
-            if p not in self._pso:
-                return
-            predicates = (p,)
+        """Iterate id-triples matching the given pattern (None =
+        wildcard), filling the touched labels first."""
+        if p is None:
+            self.fill_all()
+            predicates: Iterable[int] = range(len(self.predicates))
+        elif self._fill_columns(p, by_object=s is None and o is not None) is None:
+            return
         else:
-            predicates = list(self._pso.keys())
+            predicates = (p,)
+        pso, pos = self._pso, self._pos
         for pid in predicates:
             if s is not None:
-                objects = self._pso[pid].get(s)
+                objects = pso[pid].get(s)
                 if objects is None:
                     continue
                 if o is not None:
@@ -218,13 +275,13 @@ class TripleStore:
                     for oid in objects:
                         yield (s, pid, oid)
             elif o is not None:
-                subjects = self._pos[pid].get(o)
+                subjects = pos[pid].get(o)
                 if subjects is None:
                     continue
                 for sid in subjects:
                     yield (sid, pid, o)
             else:
-                for sid, objects in self._pso[pid].items():
+                for sid, objects in pso[pid].items():
                     for oid in objects:
                         yield (sid, pid, oid)
 
@@ -241,21 +298,9 @@ class TripleStore:
     def id_triples(self) -> Iterator[IdTriple]:
         return self.match_ids(None, None, None)
 
-    def subset(self, id_triples: Iterable[IdTriple]) -> "TripleStore":
-        """A new store with the given id triples of this store.
-
-        The new store shares this store's ``nodes`` and ``predicates``
-        dictionaries, so an id means the same term in both; treat it
-        as read-only.
-        """
-        out = TripleStore()
-        out.nodes = self.nodes
-        out.predicates = self.predicates
-        out._add_all(id_triples)
-        return out
-
     def __repr__(self) -> str:
         return (
-            f"TripleStore(triples={self._size}, nodes={self.n_nodes}, "
-            f"predicates={self.n_predicates})"
+            f"TripleStore(triples={self.n_triples}, nodes={self.n_nodes}, "
+            f"predicates={self.n_predicates}, "
+            f"filled={len(self._pso)})"
         )

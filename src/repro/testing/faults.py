@@ -162,10 +162,12 @@ def failing_promotions(
 ) -> Iterator[PromotionFaults]:
     """Make the next ``failures`` snapshot array reads raise OSError.
 
-    Patches :class:`~repro.storage.reader.SnapshotReader`'s ``csr``
-    (the promotion entry point the tiered store retries).  Yields a :class:`PromotionFaults` whose
-    ``injected`` counter tells how many faults actually fired — a test
-    can assert it matches the store's ``promotion_retries``.
+    Patches :class:`~repro.storage.reader.SnapshotReader`'s ``csr``,
+    the one payload entry point: a label's promotion and a join-store
+    fill both read through it under the tiered view's retry policy.
+    Yields a :class:`PromotionFaults` whose ``injected`` counter tells
+    how many faults actually fired — a test can assert it matches the
+    view's ``promotion_retries``.
     """
     from repro.storage.reader import SnapshotReader
 

@@ -10,10 +10,6 @@ from repro._deprecation import (
 )
 from repro.graph import example_movie_database
 from repro.pipeline import PruningPipeline
-from repro.store import TripleStore
-
-X1 = ("SELECT * WHERE { ?director directed ?movie . "
-      "?director worked_with ?coworker . }")
 
 
 @pytest.fixture(autouse=True)
@@ -51,16 +47,8 @@ class TestWarnOnceRegistry:
 
 
 class TestPipelineStoreKwarg:
-    def test_store_kwarg_warns_once_and_works(self):
-        db = example_movie_database()
-        store = TripleStore.from_graph_database(db)
-        caught, (pipeline, _) = _count_deprecations([
-            lambda: PruningPipeline(db, store=store),
-            lambda: PruningPipeline(db, store=store),
-        ])
-        assert len(caught) == 1
-        assert pipeline.store is store
-        assert len(pipeline.evaluate_full(X1).as_set()) == 2
+    """The ``store=`` keyword is gone: a store belongs to its
+    backend's view, so plain construction is the only form."""
 
     def test_plain_construction_is_not_deprecated(self):
         caught, _ = _count_deprecations([

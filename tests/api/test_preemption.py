@@ -9,7 +9,6 @@ from repro.errors import (
     ReproError,
 )
 from repro.graph import example_movie_database
-from repro.graph.io import save_ntriples
 from repro.sparql import parse_query
 from repro.storage import write_snapshot
 

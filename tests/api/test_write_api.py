@@ -14,7 +14,6 @@ from repro import (
     UnsupportedOperationError,
     example_movie_database,
 )
-from repro.api.database import _OPEN_CACHE
 from repro.storage import write_snapshot
 
 X1 = """

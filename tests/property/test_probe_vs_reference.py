@@ -105,14 +105,14 @@ def all_bound(left, right):
 @given(left=rows, right=rows)
 @settings(max_examples=300, deadline=None)
 def test_left_join_keeps_nested_loop_order(left, right):
-    executor = Executor(TripleStore())
+    executor = Executor(TripleStore.from_triples([]))
     assert executor.left_join(left, right) == nested_left_join(left, right)
 
 
 @given(left=rows, right=rows)
 @settings(max_examples=300, deadline=None)
 def test_partial_binding_join_keeps_nested_loop_order(left, right):
-    executor = Executor(TripleStore())
+    executor = Executor(TripleStore.from_triples([]))
     got, want = executor.join(left, right), nested_join(left, right)
     if all_bound(left, right):
         # The all-bound hash join orders by its build side; only the

@@ -11,8 +11,6 @@ and the happy path is the full 206 loop driven by raw HTTP, no client
 library involved.
 """
 
-import pytest
-
 from repro.api.database import Database
 from repro.serve import ReproServer, ServeConfig
 from repro.workloads import LUBM_QUERIES

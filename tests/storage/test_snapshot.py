@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.api import Database
+from repro.api.backend import SnapshotBackend
 from repro.bitvec.matrix import AdjacencyMatrix
 from repro.errors import SnapshotCorruptError, SnapshotError
 from repro.graph.database import (
@@ -23,7 +24,7 @@ from repro.storage.format import (
     Header,
     pack_checksum_table,
 )
-from repro.store import LazySnapshotStore, TripleStore
+from repro.store import TripleStore
 from repro.workloads import generate_dbpedia, generate_lubm
 
 
@@ -269,7 +270,8 @@ class TestRoundTripIdentity:
 
 class TestConstructors:
     """Snapshot sessions open through Database.open; the join-engine
-    store is a LazySnapshotStore over the same reader."""
+    store is a TripleStore over the backend's view of the same
+    reader."""
 
     def test_database_open_materializes_the_graph(self, movie_snapshot):
         db = example_movie_database()
@@ -285,13 +287,13 @@ class TestConstructors:
         db = example_movie_database()
         direct = TripleStore.from_graph_database(db)
         with SnapshotReader(movie_snapshot) as reader:
-            loaded = LazySnapshotStore(reader)
+            loaded = SnapshotBackend(reader).triple_store()
             assert loaded.n_triples == direct.n_triples
             assert set(loaded.triples()) == set(direct.triples())
 
     def test_triple_store_accepts_open_reader(self, movie_snapshot):
         with SnapshotReader(movie_snapshot) as reader:
-            loaded = LazySnapshotStore(reader)
+            loaded = SnapshotBackend(reader).triple_store()
             assert loaded.n_triples == 20
 
     def test_store_lookups_work_after_load(self, movie_snapshot):

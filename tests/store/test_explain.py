@@ -40,13 +40,11 @@ class TestExplain:
         # A store where greedy (binding-aware) and static (base-count)
         # orders diverge: 'rare' is globally small but 'mid' becomes
         # cheapest once ?x is bound.
-        store = TripleStore()
-        for i in range(30):
-            store.add(f"s{i}", "heavy", f"t{i % 2}")
-        for i in range(3):
-            store.add("s0", "rare", f"r{i}")
-        for i in range(10):
-            store.add(f"r{i % 3}", "mid", f"m{i}")
+        store = TripleStore.from_triples([
+            *((f"s{i}", "heavy", f"t{i % 2}") for i in range(30)),
+            *(("s0", "rare", f"r{i}") for i in range(3)),
+            *((f"r{i % 3}", "mid", f"m{i}") for i in range(10)),
+        ])
         query = (
             "SELECT * WHERE { ?a heavy ?b . ?a rare ?x . ?x mid ?y . }"
         )

@@ -23,7 +23,7 @@ def timed(operator, *args):
 
 
 def test_all_bound_optional_is_linear():
-    executor = Executor(TripleStore())
+    executor = Executor(TripleStore.from_triples([]))
     left = [{X: i} for i in range(N)]
     # Half the left rows find one extension, half find none.
     right = [{X: i, Y: i} for i in range(N // 2, N + N // 2)]
@@ -34,7 +34,7 @@ def test_all_bound_optional_is_linear():
 
 
 def test_partial_binding_join_is_linear():
-    executor = Executor(TripleStore())
+    executor = Executor(TripleStore.from_triples([]))
     left = [{X: i, Y: i, Z: i} for i in range(N)]
     # Each right row binds one of the two shared variables, so the
     # hash join does not apply and every row still matches just one.

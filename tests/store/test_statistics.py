@@ -63,6 +63,6 @@ class TestStatistics:
         assert stats.estimate_pattern(tp, set()) == 10.0
 
     def test_empty_store(self):
-        stats = StoreStatistics(TripleStore())
+        stats = StoreStatistics(TripleStore.from_triples([]))
         assert stats.total_triples == 0
         assert stats.selectivity(0) == 0.0

@@ -5,11 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
+from repro.core.pruning import PruneResult
 from repro.errors import StoreError
-from repro.graph import Literal
+from repro.graph import GraphDatabase, Literal
 from repro.store import TripleStore
 
 
@@ -25,16 +27,9 @@ def store():
 
 
 class TestConstruction:
-    def test_add_returns_novelty(self):
-        s = TripleStore()
-        assert s.add("a", "p", "b") is True
-        assert s.add("a", "p", "b") is False
-        assert s.n_triples == 1
-
     def test_literal_subject_rejected(self):
-        s = TripleStore()
         with pytest.raises(StoreError):
-            s.add(Literal(1), "p", "o")
+            TripleStore.from_triples([(Literal(1), "p", "o")])
 
     def test_counts(self, store):
         assert store.n_triples == 5
@@ -43,7 +38,7 @@ class TestConstruction:
         assert store.n_nodes == 4  # a, b, c, Literal(5)
 
     def test_roundtrip_graph_database(self, store):
-        db = store.to_graph_database()
+        db = GraphDatabase.from_triples(store.triples())
         assert db.n_triples == 5
         again = TripleStore.from_graph_database(db)
         assert set(again.triples()) == set(store.triples())
@@ -60,13 +55,13 @@ class TestLookups:
         b = store.nodes.require("b")
         c = store.nodes.require("c")
         p = store.predicates.require("p")
-        assert store.objects(a, p) == {b, c}
-        assert store.subjects(p, c) == {a, b}
-        assert store.objects(c, p) == set()
+        assert {o for _, _, o in store.match_ids(a, p, None)} == {b, c}
+        assert {s for s, _, _ in store.match_ids(None, p, c)} == {a, b}
+        assert list(store.match_ids(c, p, None)) == []
 
     def test_pairs(self, store):
         p = store.predicates.require("p")
-        assert len(list(store.pairs(p))) == 3
+        assert len(list(store.match_ids(None, p, None))) == 3
 
     def test_statistics_accessors(self, store):
         p = store.predicates.require("p")
@@ -109,16 +104,20 @@ class TestMatchIds:
 
 
 class TestSubset:
+    """A pruning result's store: a subset of the triples, read through
+    the full store's dictionaries."""
+
     def test_subset_preserves_names(self, store):
         a = store.nodes.require("a")
         b = store.nodes.require("b")
-        p = store.predicates.require("p")
-        sub = store.subset([(a, p, b)])
+        kept = {"p": (np.array([a]), np.array([b]))}
+        sub = PruneResult(store.source, kept, 5, 0.0).to_store(store)
         assert sub.n_triples == 1
         assert sub.contains("a", "p", "b")
+        assert not sub.contains("a", "p", "c")
 
     def test_empty_subset(self, store):
-        sub = store.subset([])
+        sub = PruneResult(store.source, {}, 5, 0.0).to_store(store)
         assert sub.n_triples == 0
 
     def test_repr(self, store):
@@ -127,7 +126,7 @@ class TestSubset:
 
 class TestIdOrder:
     def test_ids_follow_the_graph(self, store):
-        db = store.to_graph_database()
+        db = store.source
         assert list(db.nodes()) == list(store.nodes.terms())
         again = TripleStore.from_graph_database(db)
         assert list(again.nodes.terms()) == list(db.nodes())

@@ -136,6 +136,19 @@ class TestPromotionFaults:
             assert faults.injected == 2
             assert db.stats().residency.promotion_retries >= 2
 
+    def test_full_mode_fill_faults_absorbed_by_retry(self, snapshot):
+        """A full-mode query fills its join indexes through the view's
+        retried read, like a promotion."""
+        full = ExecutionProfile(pruning="full")
+        with Database.open(snapshot, profile=full, cached=False) as db:
+            expected = db.query(QUERY).as_set()
+        with Database.open(snapshot, profile=full, cached=False) as db:
+            with failing_promotions(failures=1) as faults:
+                answer = db.query(QUERY).as_set()
+            assert answer == expected
+            assert faults.injected == 1
+            assert db.stats().residency.promotion_retries >= 1
+
     def test_exhausted_retries_propagate(self, snapshot):
         from repro.storage import RetryPolicy
 

@@ -158,7 +158,7 @@ class InMemoryBackend:
         self._graph = graph_db
         self._store: Optional[TripleStore] = None
         # Mark the database as session-owned so direct GraphDatabase
-        # mutation (the pre-write-API idiom) can warn once and point at
+        # mutation (the pre-write-API idiom) raises and points at
         # Database.add/retract.  Foreign graph-likes (TieredGraphView,
         # mocks with __slots__) simply skip the marker.
         try:

@@ -1,8 +1,8 @@
 """Execution configuration for a :class:`~repro.api.database.Database`.
 
 Before the façade, running a query meant scattering configuration
-across an environment variable (``REPRO_KERNEL``), a positional
-engine-profile string, ``SolverOptions`` kwargs, and the choice of
+across a process-wide kernel switch, a positional engine-profile
+string, ``SolverOptions`` kwargs, and the choice of
 constructor (pruned pipeline vs bare engine).  :class:`ExecutionProfile`
 collects all of it in one immutable value object that travels with the
 session.
@@ -11,11 +11,9 @@ session.
 from __future__ import annotations
 
 import contextlib
-import os
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
-from repro._deprecation import deprecated_call
 from repro.bitvec.kernel import KERNELS, active_kernel, use_kernel
 from repro.core.checkpoint import ExecutionLimits
 from repro.core.solver import SolverOptions
@@ -48,8 +46,8 @@ class ExecutionProfile:
       gather+reduce over the multi-label
       :class:`~repro.bitvec.kernel.BatchedBlockSet`), or
       ``reference`` (the seed per-row loops, kept for ablation);
-      ``None`` defers to the process default, which still honors the
-      deprecated ``REPRO_KERNEL`` variable;
+      ``None`` defers to the process default (``packed`` unless
+      :func:`~repro.bitvec.kernel.set_kernel` changed it);
     * ``solver`` — SOI fixpoint strategy knobs (Sect. 3.3);
     * ``time_quantum_ms`` — preemptable execution: the dual-simulation
       stage of :meth:`Database.query` suspends after this much wall
@@ -168,29 +166,16 @@ class ExecutionProfile:
         """The kernel queries will actually run on.
 
         Explicit ``kernel`` wins; otherwise the process-active kernel.
-        The deprecated ``REPRO_KERNEL`` variable already shaped the
-        process default at import time (that is the fallback), so here
-        it only triggers the one-time :class:`DeprecationWarning` —
-        it must not override a later, explicit
-        :func:`~repro.bitvec.kernel.set_kernel` call.
         """
         if self.kernel is not None:
             return self.kernel
-        if os.environ.get("REPRO_KERNEL"):
-            deprecated_call(
-                "env:REPRO_KERNEL",
-                "the REPRO_KERNEL environment variable is deprecated; "
-                "pass ExecutionProfile(kernel=...) or the --kernel CLI "
-                "flag instead",
-            )
         return active_kernel()
 
     @contextlib.contextmanager
     def kernel_context(self) -> Iterator[str]:
         """Activate this profile's kernel for the duration of a query.
 
-        When no kernel is pinned and the deprecated environment
-        variable is unset, the process-level selection (set via
+        When no kernel is pinned, the process-level selection (set via
         :func:`repro.bitvec.kernel.set_kernel`/``use_kernel``) is left
         untouched.
         """

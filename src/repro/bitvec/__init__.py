@@ -7,14 +7,15 @@ Public surface:
 * :class:`AdjacencyMatrix` — one direction of a label's adjacency in
   sorted CSR form; a dense row block is derived on request.
 * :class:`LabelMatrixPair` — forward+backward matrices of one label.
-* :func:`build_label_matrices` — construct all label matrices at once.
+* :func:`build_label_matrices` / :func:`label_matrices_from_columns`
+  — construct all label matrices at once, from integer triples or
+  from aligned id columns.
 * :class:`BatchedBlockSet` — all matrices' dense rows concatenated
   into one block with per-label offsets (the ``batched`` kernel's
   whole-round product substrate).
 * :func:`active_kernel` / :func:`set_kernel` / :func:`use_kernel` —
   the ``packed`` vs ``batched`` vs ``reference`` product-kernel
-  switch (also settable via the ``REPRO_KERNEL`` environment
-  variable).
+  switch.
 """
 
 from repro.bitvec.bitset import Bitset
@@ -33,6 +34,7 @@ from repro.bitvec.matrix import (
     LabelMatrixPair,
     NO_EDGES,
     build_label_matrices,
+    label_matrices_from_columns,
 )
 
 __all__ = [
@@ -41,6 +43,7 @@ __all__ = [
     "LabelMatrixPair",
     "NO_EDGES",
     "build_label_matrices",
+    "label_matrices_from_columns",
     "BatchedBlockSet",
     "KERNELS",
     "PACKED",

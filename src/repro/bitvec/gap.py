@@ -19,12 +19,10 @@ Gap encoding is a measured alternative, not a storage format: the
 paper-table memory benches compare it against the dense words, while
 the solver and the snapshot file both use the CSR lists of
 :class:`~repro.bitvec.matrix.AdjacencyMatrix` (see
-:mod:`repro.bitvec.kernel` and :mod:`repro.storage.format`).  The
-conversion path between the two is
-:meth:`GapEncodedMatrix.from_adjacency` (compress a built matrix) and
-:meth:`GapEncodedMatrix.to_adjacency` (decompress all rows and pack
-them into one contiguous block, from which the first product derives
-the CSR).
+:mod:`repro.bitvec.kernel` and :mod:`repro.storage.format`).
+Conversion is one way: :meth:`GapEncodedMatrix.from_adjacency`
+compresses a built matrix's dense rows, derived from its CSR, and
+:meth:`GapEncodedMatrix.row` decodes one row back.
 """
 
 from __future__ import annotations
@@ -129,25 +127,6 @@ class GapEncodedMatrix:
     ) -> "GapEncodedMatrix":
         """Compress a built :class:`~repro.bitvec.matrix.AdjacencyMatrix`."""
         return cls.from_rows(adjacency.n, adjacency.rows, cache_rows)
-
-    def to_adjacency(self):
-        """Decompress into a packed :class:`AdjacencyMatrix`.
-
-        Every row is decoded once and the result is packed
-        into the contiguous row block the vectorized products run on.
-        """
-        from repro.bitvec.matrix import AdjacencyMatrix
-
-        out = AdjacencyMatrix(self.n)
-        for index in sorted(self._rows):
-            row = decode(self._rows[index], self.n)
-            if row.is_empty():
-                continue  # keep the summary == non-empty-rows invariant
-            out.rows[index] = row
-            out.summary.add(index)
-            out.n_edges += row.count()
-        out.pack()
-        return out
 
     def __contains__(self, index: int) -> bool:
         return index in self._rows

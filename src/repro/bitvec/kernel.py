@@ -23,14 +23,11 @@ coexist:
   loops.  Kept verbatim so property tests can assert bit-identical
   results.
 
-The active kernel is read from the ``REPRO_KERNEL`` environment
-variable at import time (unset means packed; any other value must
-name a known kernel — typos raise, so an ablation never silently
-measures the wrong implementation).  The variable is deprecated in
-favour of ``repro.ExecutionProfile(kernel=...)`` / the ``--kernel``
-CLI flag and warns once when set.  The kernel can be changed at
-runtime with
-:func:`set_kernel` or the :func:`use_kernel` context manager.  The
+The process starts on ``packed``.  A session picks its kernel with
+``repro.ExecutionProfile(kernel=...)`` / the ``--kernel`` CLI flag;
+the process-wide selection changes with :func:`set_kernel` or the
+:func:`use_kernel` context manager (unknown names raise, so an
+ablation never silently measures the wrong implementation).  The
 switch is consulted on every product call, so matrices built under
 one kernel answer correctly under the other — each matrix derives
 whichever layout (CSR lists or dense rows) the active kernel reads.
@@ -39,7 +36,6 @@ whichever layout (CSR lists or dense rows) the active kernel reads.
 from __future__ import annotations
 
 import contextlib
-import os
 from typing import Dict, Iterator, Tuple
 
 import numpy as np
@@ -50,27 +46,7 @@ REFERENCE = "reference"
 KERNELS = (PACKED, BATCHED, REFERENCE)
 
 
-def _kernel_from_env() -> str:
-    value = os.environ.get("REPRO_KERNEL")
-    if value is None or value == "":
-        return PACKED
-    if value not in KERNELS:
-        raise ValueError(
-            f"REPRO_KERNEL={value!r} is not a known kernel; "
-            f"choose from {KERNELS}"
-        )
-    from repro._deprecation import deprecated_call
-
-    deprecated_call(
-        "env:REPRO_KERNEL",
-        "the REPRO_KERNEL environment variable is deprecated; pass "
-        "ExecutionProfile(kernel=...) or the --kernel CLI flag "
-        "instead",
-    )
-    return value
-
-
-_active = _kernel_from_env()
+_active = PACKED
 
 
 def active_kernel() -> str:
@@ -136,9 +112,9 @@ class BatchedBlockSet:
     :class:`~repro.storage.tiered.TieredGraphView` promotion slots its
     label into the batch *without re-stacking* the labels already
     present (appends grow the block geometrically, amortized O(1) per
-    row).  An entry whose source matrix was re-packed (edge added
-    after packing) is detected by identity on the packed array and
-    appended afresh; the stale region is left behind as slack.
+    row).  An entry whose key now holds another matrix (a rebuilt
+    pair) is detected by identity on the packed array and appended
+    afresh; the stale region is left behind as slack.
 
     Nothing is ever removed from a block.  Its owner drops the whole
     set when the adjacency it mirrors changes (a mutated

@@ -13,16 +13,16 @@ The forward CSR *is* the label's sorted ``(s, o)`` edge columns:
 ``o = _indices`` and ``s = repeat(_row_nodes, diff(_indptr))``, the
 latter cached beside the CSR on first request and dropped with it.
 
-A dense layout is derived on request and then cached: a dict from
-node index to a :class:`Bitset` row, the rows being views into one
-contiguous ``(n_rows, n_words)`` ``uint64`` block
-(:meth:`AdjacencyMatrix.pack`).  The ``"reference"`` and ``"batched"``
-kernels, the gap encoder and the retained-triples specification read
-it.  Snapshot labels arrive as CSR
-(:meth:`AdjacencyMatrix.from_csr` adopts the file's arrays); matrices
-that arrive dense — gap decoding, edge-by-edge construction through
-:meth:`AdjacencyMatrix.add` — derive their CSR from the block on their
-first product.
+The CSR is the only canonical form: a matrix is built from sorted
+edge columns (:meth:`AdjacencyMatrix.from_sorted_columns`, which
+:func:`build_label_matrices` and the overlay use) or adopts a
+snapshot's arrays (:meth:`AdjacencyMatrix.from_csr`), and is never
+edited in place.  A dense layout is derived from the CSR on request
+and then cached: a dict from node index to a :class:`Bitset` row, the
+rows being views into one contiguous ``(n_rows, n_words)`` ``uint64``
+block (:meth:`AdjacencyMatrix.pack`).  Only the ``"reference"`` and
+``"batched"`` kernels, the gap encoder and the retained-triples
+specification read it.
 
 The core operation is the bit-vector x bit-matrix product (Eq. (9)):
 
@@ -49,18 +49,13 @@ row or column and no |V|-bit row touched.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
 from repro.bitvec.bitset import Bitset, _WORD_BITS, _word_count
 from repro.bitvec.kernel import REFERENCE, active_kernel
 from repro.errors import DimensionMismatchError
-
-#: Packed words per chunk when deriving the CSR from a dense block
-#: (512 KB of block, at most 4 MB unpacked).
-_COLUMN_CHUNK_WORDS = 1 << 16
-
 
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
@@ -72,6 +67,8 @@ NO_EDGES: Tuple[np.ndarray, np.ndarray] = (
     _frozen(np.empty(0, dtype=np.int64)),
     _frozen(np.empty(0, dtype=np.int64)),
 )
+#: The ``indptr`` of a CSR without rows.
+_NO_ROWS_INDPTR = _frozen(np.zeros(1, dtype=np.int64))
 
 
 def _check_range(n: int, *columns: np.ndarray) -> None:
@@ -96,35 +93,6 @@ def _gather(
     flat = np.repeat(starts - ends + lengths, lengths)
     flat += np.arange(flat.size)
     return indices[flat], lengths
-
-
-def _block_columns(block: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Every set bit of a packed block as ``(row position, column)``
-    int64 columns, sorted.
-
-    Works a chunk of rows at a time and unpacks only the non-zero
-    words, so no temporary grows past a few megabytes however dense
-    the block is.
-    """
-    if block.shape[0] == 0 or block.shape[1] == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    step = max(1, _COLUMN_CHUNK_WORDS // block.shape[1])
-    positions, columns = [], []
-    for start in range(0, block.shape[0], step):
-        chunk = block[start:start + step]
-        rows, words = np.nonzero(chunk)
-        bits = np.unpackbits(
-            np.ascontiguousarray(chunk[rows, words]).view(np.uint8),
-            bitorder="little",
-        ).reshape(rows.size, _WORD_BITS)
-        hit, bit = np.nonzero(bits)
-        positions.append(start + rows[hit])
-        columns.append(words[hit] * _WORD_BITS + bit)
-    return (
-        np.concatenate(positions).astype(np.int64, copy=False),
-        np.concatenate(columns).astype(np.int64, copy=False),
-    )
 
 
 def _block_from_csr(
@@ -164,18 +132,19 @@ class AdjacencyMatrix:
     )
 
     def __init__(self, n: int):
+        """An empty ``n x n`` matrix (a CSR without rows)."""
         self.n = n
         self.summary = Bitset.zeros(n)
         self.n_edges = 0
-        self._rows: Dict[int, Bitset] | None = {}
+        self._row_nodes: np.ndarray = NO_EDGES[0]
+        self._indptr: np.ndarray = _NO_ROWS_INDPTR
+        self._indices: np.ndarray = NO_EDGES[1]
+        self._entry_rows: np.ndarray | None = None
+        self._rows: Dict[int, Bitset] | None = None
         self._packed: np.ndarray | None = None
-        self._row_nodes: np.ndarray | None = None
         self._row_index: np.ndarray | None = None
         self._word_idx: np.ndarray | None = None
         self._bit_shift: np.ndarray | None = None
-        self._indptr: np.ndarray | None = None
-        self._indices: np.ndarray | None = None
-        self._entry_rows: np.ndarray | None = None
 
     @classmethod
     def from_csr(
@@ -189,7 +158,6 @@ class AdjacencyMatrix:
         (no copy, no check; a snapshot's views arrive checked).  No
         dense row is built."""
         out = cls(n)
-        out._rows = None
         out._row_nodes = _frozen(row_nodes)
         out._indptr = _frozen(indptr)
         out._indices = _frozen(indices)
@@ -211,25 +179,6 @@ class AdjacencyMatrix:
         return cls.from_csr(
             n, rows[starts], np.append(starts, rows.size), columns
         )
-
-    def add(self, src: int, dst: int) -> None:
-        """Record an edge src -> dst (in this direction's orientation).
-
-        The dense rows become the matrix's canonical form; the packed
-        block and the CSR are re-derived on their next use.
-        """
-        rows = self.rows
-        row = rows.get(src)
-        if row is None:
-            row = Bitset.zeros(self.n)
-            rows[src] = row
-            self.summary.add(src)
-        if dst not in row:
-            row.add(dst)
-            self.n_edges += 1
-            self._packed = self._row_nodes = self._row_index = None
-            self._word_idx = self._bit_shift = None
-            self._indptr = self._indices = self._entry_rows = None
 
     # -- derived layouts -------------------------------------------------
 
@@ -255,31 +204,18 @@ class AdjacencyMatrix:
         return self._rows
 
     def pack(self) -> None:
-        """Build the contiguous row block and the node -> row index.
-
-        Idempotent.  A CSR matrix derives the block (and its dense
-        rows) from its lists; a dense matrix stacks its row dict and
-        rebinds the rows to views into the block so both layouts
-        share the same words.
+        """Derive the contiguous row block, its dense rows (views into
+        the block) and the node -> row index from the CSR.  Idempotent.
         """
         if self._packed is not None:
             return
         n = self.n
-        if self._rows is None:
-            nodes = self._row_nodes
-            packed = _block_from_csr(n, self._indptr, self._indices)
-            self._rows = {
-                node: Bitset._wrap(n, packed[position])
-                for position, node in enumerate(nodes.tolist())
-            }
-        else:
-            nodes = np.fromiter(sorted(self._rows), dtype=np.int64,
-                                count=len(self._rows))
-            packed = np.empty((nodes.size, _word_count(n)), dtype=np.uint64)
-            for position, node in enumerate(nodes.tolist()):
-                packed[position] = self._rows[node].words
-                self._rows[node] = Bitset(n, packed[position])
-            self._row_nodes = nodes
+        nodes = self._row_nodes
+        packed = _block_from_csr(n, self._indptr, self._indices)
+        self._rows = {
+            node: Bitset._wrap(n, packed[position])
+            for position, node in enumerate(nodes.tolist())
+        }
         row_index = np.full(n, -1, dtype=np.int64)
         row_index[nodes] = np.arange(nodes.size, dtype=np.int64)
         self._row_index = row_index
@@ -290,20 +226,7 @@ class AdjacencyMatrix:
         self._packed = packed
 
     def _csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(row nodes, indptr, indices)``, derived from the packed
-        block on first use when the matrix arrived dense."""
-        if self._indptr is None:
-            self.pack()
-            positions, columns = _block_columns(self._packed)
-            _check_range(self.n, columns)
-            indptr = np.zeros(self._row_nodes.size + 1, dtype=np.int64)
-            np.cumsum(
-                np.bincount(positions, minlength=self._row_nodes.size),
-                out=indptr[1:],
-            )
-            # ``_indptr`` is the "built" flag, so it is published last.
-            self._indices = _frozen(columns)
-            self._indptr = _frozen(indptr)
+        """``(row nodes, indptr, indices)``."""
         return self._row_nodes, self._indptr, self._indices
 
     def _positions(self, vec: Bitset) -> np.ndarray:
@@ -333,34 +256,23 @@ class AdjacencyMatrix:
             self._entry_rows = _frozen(np.repeat(nodes, np.diff(indptr)))
         return self._entry_rows, indices
 
-    def _successors(self, i: int) -> np.ndarray | None:
-        """Row ``i``'s CSR list, or None when the row is empty."""
-        nodes, indptr, indices = self._csr()
+    def successors(self, i: int) -> np.ndarray:
+        """Row ``i``'s CSR list (ascending; empty for an empty row)."""
+        nodes, indptr, indices = self._row_nodes, self._indptr, self._indices
         position = int(nodes.searchsorted(i))
         if position == nodes.size or nodes[position] != i:
-            return None
+            return NO_EDGES[1]
         return indices[indptr[position]:indptr[position + 1]]
 
     def row(self, i: int) -> Bitset | None:
         """The row of node ``i`` or None when it is all-zero."""
-        if self._rows is not None:
-            return self._rows.get(i)
-        successors = self._successors(i)
-        if successors is None:
+        successors = self.successors(i)
+        if successors.size == 0:
             return None
         return Bitset._scatter(self.n, successors)
 
-    def successors(self, i: int) -> Iterable[int]:
-        row = self.row(i)
-        return iter(row) if row is not None else iter(())
-
     def has_edge(self, src: int, dst: int) -> bool:
-        if self._rows is not None:
-            row = self._rows.get(src)
-            return row is not None and dst in row
-        successors = self._successors(src)
-        if successors is None:
-            return False
+        successors = self.successors(src)
         position = int(successors.searchsorted(dst))
         return position < successors.size and successors[position] == dst
 
@@ -430,19 +342,19 @@ class LabelMatrixPair:
 
     __slots__ = ("n", "forward", "backward")
 
-    def __init__(self, n: int):
+    def __init__(
+        self,
+        n: int,
+        forward: AdjacencyMatrix | None = None,
+        backward: AdjacencyMatrix | None = None,
+    ):
         self.n = n
-        self.forward = AdjacencyMatrix(n)
-        self.backward = AdjacencyMatrix(n)
-
-    def add_edge(self, src: int, dst: int) -> None:
-        self.forward.add(src, dst)
-        self.backward.add(dst, src)
+        self.forward = AdjacencyMatrix(n) if forward is None else forward
+        self.backward = AdjacencyMatrix(n) if backward is None else backward
 
     def edge_columns(self) -> Tuple[np.ndarray, np.ndarray]:
         """The label's edges as sorted ``(s, o)`` int64 columns: the
-        forward CSR's lists, cached with it (so an added edge, a
-        or a rebuilt pair drops them too)."""
+        forward CSR's lists, the row-node column cached beside them."""
         return self.forward.edge_columns()
 
     def label_counts(self) -> Tuple[int, int, int]:
@@ -519,9 +431,6 @@ def build_label_matrices(
 ) -> Dict[str, LabelMatrixPair]:
     """Build one CSR :class:`LabelMatrixPair` per label from integer
     triples (repeated triples count once), labels in first-seen order.
-
-    Two sorts over the whole edge set give every label's forward and
-    backward lists at once.
     """
     codes: Dict[str, int] = {}
     flat = np.fromiter(
@@ -531,31 +440,52 @@ def build_label_matrices(
         ),
         dtype=np.int64,
     ).reshape(-1, 3)
-    order = np.lexsort((flat[:, 2], flat[:, 0], flat[:, 1]))
-    sources, labels, targets = (flat[order, k] for k in range(3))
-    del flat, order  # the sorted columns replace them
+    return label_matrices_from_columns(
+        n, list(codes), flat[:, 0], flat[:, 1], flat[:, 2]
+    )
+
+
+def label_matrices_from_columns(
+    n: int,
+    labels: List[str],
+    sources: np.ndarray,
+    codes: np.ndarray,
+    targets: np.ndarray,
+) -> Dict[str, LabelMatrixPair]:
+    """One CSR :class:`LabelMatrixPair` per label from three aligned
+    int64 edge columns; ``codes[k]`` indexes ``labels``, every label
+    has an edge, and repeated edges count once.  The mapping keeps the
+    order of ``labels``.
+
+    Two sorts over the whole edge set give every label's forward and
+    backward lists at once.
+    """
+    order = np.lexsort((targets, sources, codes))
+    sources, codes, targets = sources[order], codes[order], targets[order]
+    del order  # the sorted columns replace it
     fresh = np.r_[
         True,
         (sources[1:] != sources[:-1])
         | (targets[1:] != targets[:-1])
-        | (labels[1:] != labels[:-1]),
+        | (codes[1:] != codes[:-1]),
     ]
     if not fresh.all():
-        sources, labels, targets = (
-            sources[fresh], labels[fresh], targets[fresh]
+        sources, codes, targets = (
+            sources[fresh], codes[fresh], targets[fresh]
         )
-    back = np.lexsort((sources, targets, labels))
-    bounds = np.searchsorted(labels, np.arange(len(codes) + 1))
+    back = np.lexsort((sources, targets, codes))
+    bounds = np.searchsorted(codes, np.arange(len(labels) + 1))
     matrices: Dict[str, LabelMatrixPair] = {}
-    for label, code in codes.items():
+    for code, label in enumerate(labels):
         lo, hi = bounds[code], bounds[code + 1]
-        pair = LabelMatrixPair(n)
-        pair.forward = AdjacencyMatrix.from_sorted_columns(
-            n, sources[lo:hi], targets[lo:hi]
-        )
         backward = back[lo:hi]
-        pair.backward = AdjacencyMatrix.from_sorted_columns(
-            n, targets[backward], sources[backward]
+        matrices[label] = LabelMatrixPair(
+            n,
+            AdjacencyMatrix.from_sorted_columns(
+                n, sources[lo:hi], targets[lo:hi]
+            ),
+            AdjacencyMatrix.from_sorted_columns(
+                n, targets[backward], sources[backward]
+            ),
         )
-        matrices[label] = pair
     return matrices

@@ -71,8 +71,7 @@ def _add_execution_flags(
                         help="join-engine profile")
     parser.add_argument("--kernel", choices=KERNELS, default=None,
                         help="bit-matrix product kernel (default: "
-                             "process default; REPRO_KERNEL env var "
-                             "is deprecated)")
+                             "packed)")
     if modes:
         parser.add_argument("--mode", choices=PRUNING_MODES, default=None,
                             help="query execution mode: always prune, "

@@ -136,22 +136,19 @@ def hhk_dual_simulation(pattern: Graph, data: Graph) -> HHKResult:
         v, label, direction = state.queue.popleft()
         state.queued.discard((v, label, direction))
         state.stats.pops += 1
-        v_idx = pattern.node_index(v)
         if direction == "fwd":
             removable = state.remove_fwd.pop((v, label), set())
             if not removable:
                 continue
             # Consumers: pattern edges (u, a, v).
-            for u_idx in pattern.predecessors_idx(v_idx, label):
-                u = pattern.node_name(u_idx)
+            for u in pattern.predecessors(v, label):
                 state.shrink(u, state.sim[u] & removable)
         else:
             removable = state.remove_bwd.pop((v, label), set())
             if not removable:
                 continue
             # Consumers: pattern edges (v, a, w).
-            for w_idx in pattern.successors_idx(v_idx, label):
-                w = pattern.node_name(w_idx)
+            for w in pattern.successors(v, label):
                 state.shrink(w, state.sim[w] & removable)
 
     relation: Relation = {

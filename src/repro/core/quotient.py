@@ -49,6 +49,11 @@ def bisimulation_partition(
     until stable or ``max_rounds`` is reached.
     """
     n = data.n_nodes
+    out_items: List[List[Tuple[str, int]]] = [[] for _ in range(n)]
+    in_items: List[List[Tuple[str, int]]] = [[] for _ in range(n)]
+    for s, label, d in data.indexed_edges():
+        out_items[s].append((label, d))
+        in_items[d].append((label, s))
     blocks = [0] * n
     rounds = 0
     while True:
@@ -57,11 +62,11 @@ def bisimulation_partition(
         for idx in range(n):
             out_sig = tuple(sorted(
                 (label, blocks[succ])
-                for label, succ in data.out_items_idx(idx)
+                for label, succ in out_items[idx]
             ))
             in_sig = tuple(sorted(
                 (label, blocks[pred])
-                for label, pred in data.in_items_idx(idx)
+                for label, pred in in_items[idx]
             ))
             signature = (blocks[idx], out_sig, in_sig)
             block = signatures.setdefault(signature, len(signatures))

@@ -24,6 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Set
 
+from repro.bitvec import Bitset
 from repro.core.simulation import Relation, relation_size
 from repro.core.solver import SolverOptions, largest_dual_simulation
 from repro.errors import GraphError
@@ -64,29 +65,31 @@ def pattern_diameter(pattern: Graph) -> int:
 
 def ball(data: Graph, center: Hashable, radius: int) -> Graph:
     """The subgraph induced by nodes within undirected ``radius`` of
-    ``center`` (including all edges among them)."""
-    center_idx = data.node_index(center)
-    seen = {center_idx: 0}
-    queue = deque([center_idx])
-    while queue:
-        node = queue.popleft()
-        depth = seen[node]
-        if depth == radius:
-            continue
-        for _label, nxt in data.out_items_idx(node):
-            if nxt not in seen:
-                seen[nxt] = depth + 1
-                queue.append(nxt)
-        for _label, nxt in data.in_items_idx(node):
-            if nxt not in seen:
-                seen[nxt] = depth + 1
-                queue.append(nxt)
-    members = set(seen)
+    ``center`` (including all edges among them).
+
+    Each breadth-first level is one forward and one backward product
+    per label; the induced edges are each label's ``(s, o)`` columns
+    masked by the ball."""
+    n = data.n_nodes
+    members = Bitset.singleton(n, data.node_index(center))
+    frontier = members
+    pairs = data.matrices()
+    for _ in range(radius):
+        reached = Bitset.zeros(n)
+        for pair in pairs.values():
+            reached |= pair.product(frontier, "forward")
+            reached |= pair.product(frontier, "backward")
+        frontier = reached - members
+        if frontier.is_empty():
+            break
+        members |= frontier
     induced = Graph()
-    for idx in members:
+    for idx in members.iter_ones().tolist():
         induced.add_node(data.node_name(idx))
-    for s, label, d in data.indexed_edges():
-        if s in members and d in members:
+    for label, pair in pairs.items():
+        subjects, objects = pair.edge_columns()
+        inside = members.bits_at(subjects) & members.bits_at(objects)
+        for s, d in zip(subjects[inside].tolist(), objects[inside].tolist()):
             induced.add_edge(data.node_name(s), label, data.node_name(d))
     return induced
 

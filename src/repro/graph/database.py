@@ -4,12 +4,14 @@ A graph database is a graph whose nodes are database objects and
 literals and whose labels are predicates.  The RDF-inherited
 constraint is that **literals may only occur as edge targets** —
 ``E subseteq (O intersect objects) x Sigma x O``.  The class below
-enforces that constraint and otherwise behaves like :class:`Graph`.
+enforces that constraint and otherwise behaves like :class:`Graph`,
+except that a database handed to a session is read-only: its edges
+change through ``Database.add`` / ``Database.retract``.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator, Set
+from typing import Hashable, Iterable, Iterator
 
 from repro.errors import GraphError
 from repro.graph.graph import Edge, Graph
@@ -39,42 +41,15 @@ class Literal:
 
 
 class GraphDatabase(Graph):
-    """A graph database: a graph where literals never have out-edges."""
+    """A graph database: a graph where literals never have out-edges.
 
-    def __init__(self):
-        super().__init__()
-        self._literal_indices: Set[int] = set()
-
-    def _warn_session_mutation(self) -> None:
-        """Mutating a database *behind a session's back* is the
-        pre-write-API idiom: the session's matrices, stores and caches
-        never hear about the edge.  Warn once and point at the
-        first-class write surface.  Standalone databases (not yet
-        attached to a session) mutate silently, as always.
-        """
-        if getattr(self, "_session_attached", False):
-            from repro._deprecation import deprecated_call
-
-            deprecated_call(
-                "GraphDatabase.add_triple:session",
-                "mutating a GraphDatabase already attached to a "
-                "session (add_triple/add_edge) is deprecated — the "
-                "session's indexes will not see the change; use "
-                "Database.add() / Database.retract() on a writable "
-                "session (Database.writable()/Database.edit()) "
-                "instead",
-                stacklevel=4,
-            )
+    Literals are the nodes whose name is a :class:`Literal`; they are
+    counted from the node names, so no per-node set is kept.
+    """
 
     def add_triple(self, subject: Hashable, predicate: str, obj: Hashable) -> None:
         """Add the triple (s, p, o); ``o`` may be a :class:`Literal`."""
-        if isinstance(subject, Literal):
-            raise GraphError(
-                f"literals may only occur as objects, not subjects: {subject!r}"
-            )
         self.add_edge(subject, predicate, obj)
-        if isinstance(obj, Literal):
-            self._literal_indices.add(self.node_index(obj))
 
     # Alias matching Graph's API but enforcing the literal constraint.
     def add_edge(self, src: Hashable, label: str, dst: Hashable) -> None:
@@ -82,10 +57,16 @@ class GraphDatabase(Graph):
             raise GraphError(
                 f"literals may only occur as objects, not subjects: {src!r}"
             )
-        self._warn_session_mutation()
+        if getattr(self, "_session_attached", False):
+            # The session's matrices, join store and caches would
+            # never hear about an edge added behind its back.
+            raise GraphError(
+                "this GraphDatabase is attached to a session and cannot "
+                "be mutated directly; use Database.add() / "
+                "Database.retract() on a writable session "
+                "(Database.writable() / Database.edit())"
+            )
         super().add_edge(src, label, dst)
-        if isinstance(dst, Literal):
-            self._literal_indices.add(self.node_index(dst))
 
     @classmethod
     def from_triples(cls, triples: Iterable[Edge]) -> "GraphDatabase":
@@ -101,13 +82,10 @@ class GraphDatabase(Graph):
 
     @property
     def n_literals(self) -> int:
-        return len(self._literal_indices)
+        return sum(1 for _ in self.literals())
 
     def literals(self) -> Iterator[Literal]:
-        for idx in self._literal_indices:
-            node = self.node_name(idx)
-            assert isinstance(node, Literal)
-            yield node
+        return (node for node in self.nodes() if isinstance(node, Literal))
 
     @property
     def n_triples(self) -> int:

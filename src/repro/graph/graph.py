@@ -3,13 +3,23 @@
 A :class:`Graph` is a triple ``(V, Sigma, E)`` with a finite node set,
 a finite label alphabet, and a labeled edge relation
 ``E subseteq V x Sigma x V``.  Nodes carry arbitrary hashable names;
-internally every node gets a dense integer index so the bitvec kernel
-can address them, and per-label forward/backward adjacency maps
-``F_a`` / ``B_a`` are maintained as :class:`LabelMatrixPair`.
+internally every node gets a dense integer index (first seen, first
+numbered) so the bitvec kernel can address them.
+
+The graph is a builder over one edge representation: adding an edge
+appends its source index, label code and target index to three int64
+columns (``array('q')``; labels are coded in first-seen order).  The
+per-label forward/backward adjacency ``F_a`` / ``B_a`` is built from
+those columns on first read, as sorted CSR :class:`LabelMatrixPair`
+(repeated edges count once), and every read — edge count, membership,
+iteration, successors and predecessors — answers from it.  A loaded
+graph thus holds no Python container per edge or per node beyond the
+node dictionary.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, Hashable, Iterable, Iterator, List, Set, Tuple
 
 import numpy as np
@@ -18,7 +28,7 @@ from repro.bitvec import (
     NO_EDGES,
     Bitset,
     LabelMatrixPair,
-    build_label_matrices,
+    label_matrices_from_columns,
 )
 from repro.errors import GraphError
 
@@ -31,10 +41,12 @@ class Graph:
     def __init__(self):
         self._index: Dict[Hashable, int] = {}
         self._names: List[Hashable] = []
-        self._edges: Set[Tuple[int, str, int]] = set()
-        self._out: Dict[int, Set[Tuple[str, int]]] = {}
-        self._in: Dict[int, Set[Tuple[str, int]]] = {}
-        self._labels: Set[str] = set()
+        #: label -> code, in first-seen order.
+        self._codes: Dict[str, int] = {}
+        #: The appended edge columns (source, label code, target).
+        self._sources = array("q")
+        self._label_codes = array("q")
+        self._targets = array("q")
         self._matrices: Dict[str, LabelMatrixPair] | None = None
         self._batched = None
 
@@ -47,26 +59,23 @@ class Graph:
             idx = len(self._names)
             self._index[name] = idx
             self._names.append(name)
-            self._out[idx] = set()
-            self._in[idx] = set()
             self._matrices = None
             self._batched = None
         return idx
 
     def add_edge(self, src: Hashable, label: str, dst: Hashable) -> None:
-        """Add the labeled edge ``(src, label, dst)``, creating nodes."""
+        """Add the labeled edge ``(src, label, dst)``, creating nodes.
+        Adding an edge twice is harmless: the matrices count it once."""
         if label is None or (isinstance(label, str) and not label):
             raise GraphError(f"edge label must be non-empty: {label!r}")
         s = self.add_node(src)
         d = self.add_node(dst)
-        triple = (s, label, d)
-        if triple not in self._edges:
-            self._edges.add(triple)
-            self._out[s].add((label, d))
-            self._in[d].add((label, s))
-            self._labels.add(label)
-            self._matrices = None
-            self._batched = None
+        code = self._codes.setdefault(label, len(self._codes))
+        self._sources.append(s)
+        self._label_codes.append(code)
+        self._targets.append(d)
+        self._matrices = None
+        self._batched = None
 
     @classmethod
     def from_edges(cls, edges: Iterable[Edge]) -> "Graph":
@@ -83,12 +92,12 @@ class Graph:
 
     @property
     def n_edges(self) -> int:
-        return len(self._edges)
+        return sum(pair.n_edges for pair in self.matrices().values())
 
     @property
     def labels(self) -> Set[str]:
         """The set of labels actually used by at least one edge."""
-        return set(self._labels)
+        return set(self._codes)
 
     def nodes(self) -> Iterator[Hashable]:
         return iter(self._names)
@@ -108,69 +117,66 @@ class Graph:
     def has_edge(self, src: Hashable, label: str, dst: Hashable) -> bool:
         s = self._index.get(src)
         d = self._index.get(dst)
-        if s is None or d is None:
+        pair = self.matrices().get(label)
+        if s is None or d is None or pair is None:
             return False
-        return (s, label, d) in self._edges
+        return pair.forward.has_edge(s, d)
 
     def edges(self) -> Iterator[Edge]:
-        """Iterate edges as (src_name, label, dst_name)."""
-        for s, label, d in self._edges:
-            yield (self._names[s], label, self._names[d])
+        """Iterate edges as (src_name, label, dst_name): labels in
+        first-seen order, each label's edges sorted by index."""
+        names = self._names
+        for s, label, d in self.indexed_edges():
+            yield (names[s], label, names[d])
 
     def indexed_edges(self) -> Iterator[Tuple[int, str, int]]:
-        """Iterate edges as integer-index triples."""
-        return iter(self._edges)
+        """Iterate edges as integer-index triples, in :meth:`edges`
+        order."""
+        for label, pair in self.matrices().items():
+            subjects, objects = pair.edge_columns()
+            for s, d in zip(subjects.tolist(), objects.tolist()):
+                yield (s, label, d)
 
     # -- adjacency (the paper's F_a and B_a maps) ---------------------------
 
+    def _neighbours(
+        self, name: Hashable, label: str, direction: str
+    ) -> Set[Hashable]:
+        idx = self.node_index(name)
+        pair = self.matrices().get(label)
+        if pair is None:
+            return set()
+        matrix = pair.forward if direction == "forward" else pair.backward
+        return {self._names[i] for i in matrix.successors(idx).tolist()}
+
     def successors(self, name: Hashable, label: str) -> Set[Hashable]:
         """``F_a(v)``: targets of label-``a`` edges leaving ``v``."""
-        idx = self.node_index(name)
-        return {
-            self._names[d] for (a, d) in self._out[idx] if a == label
-        }
+        return self._neighbours(name, label, "forward")
 
     def predecessors(self, name: Hashable, label: str) -> Set[Hashable]:
         """``B_a(v)``: sources of label-``a`` edges entering ``v``."""
-        idx = self.node_index(name)
-        return {
-            self._names[s] for (a, s) in self._in[idx] if a == label
-        }
+        return self._neighbours(name, label, "backward")
 
     def out_edges(self, name: Hashable) -> Set[Tuple[str, Hashable]]:
-        idx = self.node_index(name)
-        return {(a, self._names[d]) for (a, d) in self._out[idx]}
+        return {
+            (label, other)
+            for label in self._codes
+            for other in self._neighbours(name, label, "forward")
+        }
 
     def in_edges(self, name: Hashable) -> Set[Tuple[str, Hashable]]:
-        idx = self.node_index(name)
-        return {(a, self._names[s]) for (a, s) in self._in[idx]}
-
-    def out_degree(self, name: Hashable) -> int:
-        return len(self._out[self.node_index(name)])
-
-    def in_degree(self, name: Hashable) -> int:
-        return len(self._in[self.node_index(name)])
-
-    # -- integer-index adjacency (hot paths) --------------------------------
-
-    def successors_idx(self, idx: int, label: str) -> Set[int]:
-        return {d for (a, d) in self._out[idx] if a == label}
-
-    def predecessors_idx(self, idx: int, label: str) -> Set[int]:
-        return {s for (a, s) in self._in[idx] if a == label}
-
-    def out_items_idx(self, idx: int) -> Set[Tuple[str, int]]:
-        return self._out[idx]
-
-    def in_items_idx(self, idx: int) -> Set[Tuple[str, int]]:
-        return self._in[idx]
+        return {
+            (label, other)
+            for label in self._codes
+            for other in self._neighbours(name, label, "backward")
+        }
 
     # -- bit-matrix view ------------------------------------------------------
 
     def matrices(self) -> Dict[str, LabelMatrixPair]:
-        """Per-label adjacency matrices in sorted CSR form, built
-        lazily from the edge columns (two sorts over the edge set) and
-        cached.
+        """Per-label adjacency matrices in sorted CSR form, labels in
+        first-seen order, built lazily from the edge columns (two
+        sorts over the edge set) and cached.
 
         No dense row block is built here: the solver's products run on
         the CSR lists, and a dense block is derived per matrix only
@@ -179,7 +185,13 @@ class Graph:
         the built matrices is safe.
         """
         if self._matrices is None:
-            self._matrices = build_label_matrices(self.n_nodes, self._edges)
+            self._matrices = label_matrices_from_columns(
+                self.n_nodes,
+                list(self._codes),
+                np.frombuffer(self._sources, dtype=np.int64),
+                np.frombuffer(self._label_codes, dtype=np.int64),
+                np.frombuffer(self._targets, dtype=np.int64),
+            )
         return self._matrices
 
     def label_matrix(self, label: str) -> LabelMatrixPair | None:
@@ -217,16 +229,5 @@ class Graph:
             self.n_nodes, (self.node_index(n) for n in names)
         )
 
-    # -- misc -----------------------------------------------------------------
-
-    def subgraph_triples(
-        self, keep: Set[Tuple[int, str, int]]
-    ) -> "Graph":
-        """A new graph containing exactly the given indexed edges."""
-        out = Graph()
-        for s, label, d in keep:
-            out.add_edge(self._names[s], label, self._names[d])
-        return out
-
     def __repr__(self) -> str:
-        return f"Graph(|V|={self.n_nodes}, |E|={self.n_edges}, |Sigma|={len(self._labels)})"
+        return f"Graph(|V|={self.n_nodes}, |E|={self.n_edges}, |Sigma|={len(self._codes)})"

@@ -1,6 +1,6 @@
 """The ``repro.*`` logger hierarchy and the ``REPRO_LOG`` toggle.
 
-Every engine diagnostic (deprecation shims, promotion-retry notices,
+Every engine diagnostic (promotion-retry notices,
 kernel-degradation records, corruption detections) routes through a
 namespaced ``logging.getLogger("repro.<area>")`` logger obtained via
 :func:`get_logger` — so embedding applications control engine noise

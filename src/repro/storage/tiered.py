@@ -245,12 +245,14 @@ class TieredGraphView:
     def _materialize_inner(self, label: str) -> LabelMatrixPair:
         reader = self.reader
         n = reader.n_nodes
-        pair = LabelMatrixPair(n)
-        pair.forward = AdjacencyMatrix.from_csr(
-            n, *self._with_retries(lambda: reader.csr(label, "forward"))
-        )
-        pair.backward = AdjacencyMatrix.from_csr(
-            n, *self._with_retries(lambda: reader.csr(label, "backward"))
+        pair = LabelMatrixPair(
+            n,
+            AdjacencyMatrix.from_csr(
+                n, *self._with_retries(lambda: reader.csr(label, "forward"))
+            ),
+            AdjacencyMatrix.from_csr(
+                n, *self._with_retries(lambda: reader.csr(label, "backward"))
+            ),
         )
         registry().counter("promotions_total").inc()
         self._pairs[label] = pair

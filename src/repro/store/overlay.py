@@ -18,8 +18,9 @@ retraction — the delta is always the *minimal* diff against the base.
 The solver-facing view (:class:`OverlayGraphView`) keeps per-label
 adjacency current the same way :class:`~repro.storage.TieredGraphView`
 keeps residency current: it is one long-lived object (the pruning
-pipeline identity-checks it) whose matrix mapping serves *clean*
-labels zero-copy from the base and rebuilds *dirty* labels (base edges
+pipeline identity-checks it) whose matrix mapping serves *delta-free*
+labels zero-copy from the base (after node growth, as the base's CSR
+arrays at the new width) and rebuilds *dirty* labels (base edges
 minus retractions plus additions) on first touch after a mutation.
 Every mutation batch bumps an **epoch** and stamps the touched labels;
 :meth:`OverlayGraphView.changed_since` is the contract the incremental
@@ -65,10 +66,11 @@ def _edge_keys(edges: Set[IdPair], n: int) -> np.ndarray:
 class OverlayMatrices:
     """Mapping ``label -> LabelMatrixPair`` over base + delta.
 
-    Clean labels (no delta touching them, no new nodes) are served
-    zero-copy from the base's mapping — for a snapshot base that keeps
-    tiered promotion semantics intact.  Dirty labels are rebuilt
-    lazily by the view and cached until their next mutation.
+    Delta-free labels are served zero-copy from the base's mapping —
+    for a snapshot base that keeps tiered promotion semantics intact;
+    once nodes were added, the base pair's CSR arrays are adopted at
+    the new width instead.  Dirty labels are rebuilt lazily by the
+    view and cached until their next mutation.
     """
 
     def __init__(self, view: "OverlayGraphView"):
@@ -82,8 +84,8 @@ class OverlayMatrices:
 
     def get(self, label: str, default=None):
         view = self._view
-        if view._is_clean(label):
-            pair = view._base_matrices().get(label)
+        if view._delta_free(label):
+            pair = view._base_pair(label)
             return default if pair is None else pair
         if label not in view.labels:  # e.g. fully retracted
             return default
@@ -138,7 +140,9 @@ class OverlayGraphView:
         self._retracts: Dict[str, Set[IdPair]] = {}
         self._n_added = 0
         self._n_retracted = 0
-        #: Rebuilt pairs of dirty labels (cleared on their mutation).
+        #: Rebuilt pairs of dirty labels and widened base pairs of
+        #: delta-free ones (a label's entry is dropped on its mutation,
+        #: every entry on node growth).
         self._pairs: Dict[str, LabelMatrixPair] = {}
         self._batched = None
         self._matrices = OverlayMatrices(self)
@@ -183,17 +187,31 @@ class OverlayGraphView:
         out |= {label for label, edges in self._retracts.items() if edges}
         return out
 
-    def _is_clean(self, label: str) -> bool:
-        if self._new_names:
-            return False
-        if self._adds.get(label):
-            return False
-        if self._retracts.get(label):
-            return False
-        return True
+    def _delta_free(self, label: str) -> bool:
+        """No delta edge touches ``label``: its edges are the base's
+        (new nodes only extend the index space)."""
+        return not self._adds.get(label) and not self._retracts.get(label)
 
     def _base_matrices(self):
         return self._base_graph.matrices()
+
+    def _base_pair(self, label: str) -> Optional[LabelMatrixPair]:
+        """A delta-free label's pair: the base's own, or once nodes
+        were added, its CSR arrays adopted (no copy) at the new width
+        and cached until the next node growth."""
+        pair = self._base_matrices().get(label)
+        if pair is None or not self._new_names:
+            return pair
+        widened = self._pairs.get(label)
+        if widened is None:
+            n = self.n_nodes
+            widened = LabelMatrixPair(
+                n,
+                AdjacencyMatrix.from_csr(n, *pair.forward._csr()),
+                AdjacencyMatrix.from_csr(n, *pair.backward._csr()),
+            )
+            self._pairs[label] = widened
+        return widened
 
     def _intern(self, name: Hashable) -> int:
         idx = self._base_graph.node_index(name) if (
@@ -338,14 +356,11 @@ class OverlayGraphView:
             keys.sort(kind="stable")  # two sorted runs: one merge
         subjects, objects = np.divmod(keys, n)
         backward = np.sort(objects * n + subjects)
-        pair = LabelMatrixPair(n)
-        pair.forward = AdjacencyMatrix.from_sorted_columns(
-            n, subjects, objects
+        return LabelMatrixPair(
+            n,
+            AdjacencyMatrix.from_sorted_columns(n, subjects, objects),
+            AdjacencyMatrix.from_sorted_columns(n, *np.divmod(backward, n)),
         )
-        pair.backward = AdjacencyMatrix.from_sorted_columns(
-            n, *np.divmod(backward, n)
-        )
-        return pair
 
     def _pair_for(self, label: str) -> Optional[LabelMatrixPair]:
         if label not in self._base_labels and not self._adds.get(label):
@@ -392,11 +407,6 @@ class OverlayGraphView:
         return self._matrices.get(label)
 
     # -- column source of the join store -----------------------------------
-
-    def _delta_free(self, label: str) -> bool:
-        """No delta edge touches ``label``: its columns are the base's
-        (new nodes only extend the index space)."""
-        return not self._adds.get(label) and not self._retracts.get(label)
 
     def edge_columns(self, label: str) -> Tuple[np.ndarray, np.ndarray]:
         """A delta-free label's columns from the base, a dirty label's

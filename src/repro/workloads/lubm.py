@@ -25,7 +25,7 @@ import hashlib
 import random
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import List, Union
+from typing import Dict, List, Union
 
 from repro.errors import WorkloadError
 from repro.graph.database import GraphDatabase, Literal
@@ -168,6 +168,8 @@ class _Generator:
             add(lecturer, "name", Literal(f"Lect{i}.{dept}"))
 
         courses = []
+        #: teacher -> the courses it teaches, in ``courses`` order.
+        taught: Dict[str, List[str]] = {}
         for i in range(self._rand(config.courses_per_department)):
             course = f"{dept}:course{i}"
             courses.append(course)
@@ -176,6 +178,7 @@ class _Generator:
             add(course, "title", Literal(f"Lecture {i} of {dept}"))
             teacher = rng.choice(professors + lecturers)
             add(teacher, "teacherOf", course)
+            taught.setdefault(teacher, []).append(course)
 
         undergrads = []
         for i in range(self._rand(config.undergrads_per_department)):
@@ -217,10 +220,7 @@ class _Generator:
             if rng.random() < 0.3:
                 add(student, "mastersDegreeFrom", rng.choice(self.universities))
             # Courses; biased toward the advisor's courses (L0 triangles).
-            advisor_courses = [
-                c for c in courses
-                if self.db.has_edge(advisor, "teacherOf", c)
-            ]
+            advisor_courses = taught.get(advisor, [])
             n_courses = self._rand(config.courses_per_student)
             picked = set()
             if advisor_courses and rng.random() < config.advisor_course_probability:

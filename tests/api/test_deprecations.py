@@ -1,22 +1,16 @@
-"""The legacy entry points still work — and warn exactly once."""
+"""The pre-façade entry points are gone: what used to warn now either
+fails loudly or is not read at all, and nothing in repro warns."""
 
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
-from repro._deprecation import (
-    deprecated_call,
-    reset_deprecation_registry,
-)
+from repro.errors import GraphError
 from repro.graph import example_movie_database
 from repro.pipeline import PruningPipeline
-
-
-@pytest.fixture(autouse=True)
-def fresh_registry():
-    reset_deprecation_registry()
-    yield
-    reset_deprecation_registry()
 
 
 def _count_deprecations(calls):
@@ -28,22 +22,6 @@ def _count_deprecations(calls):
         [w for w in caught if issubclass(w.category, DeprecationWarning)],
         results,
     )
-
-
-class TestWarnOnceRegistry:
-    def test_second_call_is_silent(self):
-        caught, _ = _count_deprecations([
-            lambda: deprecated_call("k", "gone"),
-            lambda: deprecated_call("k", "gone"),
-        ])
-        assert len(caught) == 1
-
-    def test_distinct_keys_warn_separately(self):
-        caught, _ = _count_deprecations([
-            lambda: deprecated_call("k1", "gone"),
-            lambda: deprecated_call("k2", "gone"),
-        ])
-        assert len(caught) == 2
 
 
 class TestPipelineStoreKwarg:
@@ -58,37 +36,48 @@ class TestPipelineStoreKwarg:
 
 
 class TestKernelEnvVar:
-    def test_env_resolution_warns_once(self, monkeypatch):
-        from repro.api import ExecutionProfile
-
-        monkeypatch.setenv("REPRO_KERNEL", "reference")
-        caught, _ = _count_deprecations([
-            lambda: ExecutionProfile().resolved_kernel(),
-            lambda: ExecutionProfile().resolved_kernel(),
-        ])
-        assert len(caught) == 1
-        assert "REPRO_KERNEL" in str(caught[0].message)
+    def test_env_var_is_not_read(self):
+        """``REPRO_KERNEL`` neither selects a kernel nor warns (nor
+        raises on an unknown name): the process starts on ``packed``
+        and a session picks its kernel through ``ExecutionProfile``."""
+        script = (
+            "import warnings; warnings.simplefilter('error')\n"
+            "from repro import ExecutionProfile\n"
+            "from repro.bitvec import active_kernel\n"
+            "print(active_kernel(), ExecutionProfile().resolved_kernel())\n"
+        )
+        for value in ("reference", "no-such-kernel"):
+            env = dict(os.environ, REPRO_KERNEL=value)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (*sys.path, env.get("PYTHONPATH", "")) if p
+            )
+            out = subprocess.run(
+                [sys.executable, "-c", script], env=env,
+                capture_output=True, text=True, check=True,
+            )
+            assert out.stdout.split() == ["packed", "packed"]
+            assert out.stderr == ""
 
 
 class TestSessionMutationShim:
     """Mutating a GraphDatabase behind an attached session's back is
-    the pre-write-API idiom: it still works (the graph accepts the
-    edge) but warns once, pointing at Database.add/retract."""
+    the pre-write-API idiom; it now raises and points at
+    Database.add/retract."""
 
-    def test_attached_database_warns_once(self):
+    def test_attached_database_raises(self):
         from repro import Database
 
         db = example_movie_database()
         session = Database.in_memory(db)
-        caught, _ = _count_deprecations([
-            lambda: db.add_triple("a", "p", "b"),
-            lambda: db.add_triple("a", "p", "c"),
-        ])
-        assert len(caught) == 1
-        message = str(caught[0].message)
-        assert "Database.add" in message
-        assert "Database.writable" in message
-        del session
+        before = session.query("SELECT ?x WHERE { ?x directed ?m . }")
+        n_triples = db.n_triples
+        for mutate in (db.add_triple, db.add_edge):
+            with pytest.raises(GraphError, match=r"Database\.add\(\)"):
+                mutate("a", "directed", "b")
+        assert db.n_triples == n_triples
+        assert not db.has_node("a")
+        after = session.query("SELECT ?x WHERE { ?x directed ?m . }")
+        assert sorted(map(str, after)) == sorted(map(str, before))
 
     def test_standalone_database_is_silent(self):
         db = example_movie_database()

@@ -293,14 +293,10 @@ class TestOpenCache:
 
 
 class TestFacadeEmitsNoDeprecations:
-    """The CI gate: the api package must not route through its own
-    deprecation shims."""
+    """The CI gate: a full façade session emits no
+    DeprecationWarning."""
 
-    def test_full_session_clean(self, movie_snapshot, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        from repro._deprecation import reset_deprecation_registry
-
-        reset_deprecation_registry()
+    def test_full_session_clean(self, movie_snapshot):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             db = Database.in_memory(example_movie_database())

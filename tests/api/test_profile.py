@@ -3,7 +3,6 @@
 
 import pytest
 
-from repro._deprecation import reset_deprecation_registry
 from repro.api import ExecutionProfile
 from repro.bitvec.kernel import active_kernel, use_kernel
 from repro.core.solver import SolverOptions
@@ -60,23 +59,12 @@ class TestCoerce:
 
 
 class TestKernelResolution:
-    def test_explicit_kernel_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "packed")
+    def test_explicit_kernel_wins(self):
         profile = ExecutionProfile(kernel="reference")
         assert profile.resolved_kernel() == "reference"
 
-    def test_default_is_active_kernel(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    def test_default_is_active_kernel(self):
         assert ExecutionProfile().resolved_kernel() == active_kernel()
-
-    def test_env_set_warns_deprecation(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "reference")
-        reset_deprecation_registry()
-        with pytest.warns(DeprecationWarning, match="REPRO_KERNEL"):
-            # The env var shaped the process default at import; a
-            # later explicit set_kernel()/use_kernel() must win over
-            # it, so resolution follows the active kernel.
-            assert ExecutionProfile().resolved_kernel() == active_kernel()
 
     def test_env_does_not_override_runtime_set_kernel(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", "packed")
@@ -93,8 +81,7 @@ class TestKernelResolution:
             assert active_kernel() == "reference"
         assert active_kernel() == before
 
-    def test_kernel_context_no_pin_leaves_active(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    def test_kernel_context_no_pin_leaves_active(self):
         with use_kernel("reference"):
             with ExecutionProfile().kernel_context() as name:
                 assert name == "reference"

@@ -1,5 +1,6 @@
 """Unit tests for adjacency bit-matrices and the x_b product."""
 
+import numpy as np
 import pytest
 
 from repro.bitvec import (
@@ -11,51 +12,59 @@ from repro.bitvec import (
 from repro.errors import DimensionMismatchError
 
 
+def _pair(n, edges):
+    """The CSR pair of one label with the given ``(s, d)`` edges."""
+    return build_label_matrices(n, [(s, "l", d) for s, d in edges])["l"]
+
+
+def _matrix(n, edges):
+    rows, columns = (np.array(c, dtype=np.int64) for c in zip(*sorted(edges)))
+    return AdjacencyMatrix.from_sorted_columns(n, rows, columns)
+
+
 @pytest.fixture
 def born_in_pair():
     """The born_in matrices of Fig. 2(a): nodes indexed
     0=place, 1=director1, 2=director2, 3=coworker, 4=movie."""
-    pair = LabelMatrixPair(5)
-    pair.add_edge(1, 0)
-    pair.add_edge(2, 0)
-    return pair
+    return _pair(5, [(1, 0), (2, 0)])
 
 
 class TestAdjacencyMatrix:
     def test_add_and_row(self):
-        m = AdjacencyMatrix(4)
-        m.add(0, 1)
-        m.add(0, 2)
+        m = _matrix(4, [(0, 1), (0, 2)])
         assert m.row(0).to_set() == {1, 2}
         assert m.row(3) is None
 
-    def test_duplicate_edges_counted_once(self):
+    def test_empty_matrix_is_an_empty_csr(self):
         m = AdjacencyMatrix(4)
-        m.add(0, 1)
-        m.add(0, 1)
-        assert m.n_edges == 1
+        assert m.n_edges == 0
+        assert m.row(0) is None
+        assert not m.has_edge(0, 1)
+        assert m.edge_columns()[0].size == 0
+        assert m.product_rowwise(Bitset.ones(4)).is_empty()
+        m.pack()
+        assert m._packed.shape == (0, 1)
+
+    def test_duplicate_edges_counted_once(self):
+        pair = _pair(4, [(0, 1), (0, 1)])
+        assert pair.forward.n_edges == pair.backward.n_edges == 1
 
     def test_summary_tracks_nonempty_rows(self):
-        m = AdjacencyMatrix(4)
-        m.add(0, 1)
-        m.add(2, 3)
+        m = _matrix(4, [(0, 1), (2, 3)])
         assert m.summary.to_set() == {0, 2}
 
     def test_successors(self):
-        m = AdjacencyMatrix(4)
-        m.add(1, 2)
+        m = _matrix(4, [(1, 2)])
         assert set(m.successors(1)) == {2}
         assert set(m.successors(0)) == set()
 
     def test_has_edge(self):
-        m = AdjacencyMatrix(4)
-        m.add(1, 2)
+        m = _matrix(4, [(1, 2)])
         assert m.has_edge(1, 2)
         assert not m.has_edge(2, 1)
 
     def test_density(self):
-        m = AdjacencyMatrix(2)
-        m.add(0, 1)
+        m = _matrix(2, [(0, 1)])
         assert m.density() == 0.25
         assert AdjacencyMatrix(0).density() == 0.0
 
@@ -82,35 +91,27 @@ class TestAdjacencyMatrix:
 
 class TestLabelMatrixPair:
     def test_backward_is_transpose(self):
-        pair = LabelMatrixPair(3)
-        pair.add_edge(0, 1)
-        pair.add_edge(0, 2)
+        pair = _pair(3, [(0, 1), (0, 2)])
         assert pair.forward.row(0).to_set() == {1, 2}
         assert pair.backward.row(1).to_set() == {0}
         assert pair.backward.row(2).to_set() == {0}
         assert pair.n_edges == 2
 
     def test_product_forward_vs_backward(self):
-        pair = LabelMatrixPair(3)
-        pair.add_edge(0, 1)
+        pair = _pair(3, [(0, 1)])
         vec = Bitset.from_indices(3, [0])
         assert pair.product(vec, "forward").to_set() == {1}
         vec2 = Bitset.from_indices(3, [1])
         assert pair.product(vec2, "backward").to_set() == {0}
 
     def test_product_with_mask(self):
-        pair = LabelMatrixPair(4)
-        pair.add_edge(0, 1)
-        pair.add_edge(0, 2)
+        pair = _pair(4, [(0, 1), (0, 2)])
         vec = Bitset.from_indices(4, [0])
         mask = Bitset.from_indices(4, [2, 3])
         assert pair.product(vec, "forward", mask=mask).to_set() == {2}
 
     def test_row_and_column_strategies_agree(self):
-        pair = LabelMatrixPair(6)
-        edges = [(0, 1), (0, 2), (3, 2), (4, 5), (5, 0)]
-        for s, d in edges:
-            pair.add_edge(s, d)
+        pair = _pair(6, [(0, 1), (0, 2), (3, 2), (4, 5), (5, 0)])
         vec = Bitset.from_indices(6, [0, 3, 5])
         mask = Bitset.from_indices(6, [0, 1, 2, 5])
         row = pair.product(vec, "forward", mask=mask, strategy="row")
@@ -122,8 +123,7 @@ class TestLabelMatrixPair:
         assert row_b == col_b
 
     def test_column_requires_mask(self):
-        pair = LabelMatrixPair(3)
-        pair.add_edge(0, 1)
+        pair = _pair(3, [(0, 1)])
         with pytest.raises(ValueError):
             pair.product(Bitset.ones(3), "forward", strategy="column")
 
@@ -146,3 +146,9 @@ class TestBuildLabelMatrices:
 
     def test_empty(self):
         assert build_label_matrices(3, []) == {}
+
+    def test_labels_in_first_seen_order(self):
+        matrices = build_label_matrices(
+            3, [(0, "b", 1), (1, "a", 2), (2, "b", 0), (0, "c", 0)]
+        )
+        assert list(matrices) == ["b", "a", "c"]

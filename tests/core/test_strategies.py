@@ -9,18 +9,14 @@ from repro.core import (
     BACKWARD,
     order_inequalities,
 )
-from repro.bitvec import LabelMatrixPair
+from repro.bitvec import build_label_matrices
 
 
 @pytest.fixture
 def matrices():
-    dense = LabelMatrixPair(10)
-    for i in range(9):
-        dense.add_edge(i, i + 1)
-        dense.add_edge(i + 1, i)
-    sparse = LabelMatrixPair(10)
-    sparse.add_edge(0, 1)
-    return {"dense": dense, "sparse": sparse}
+    ring = [(i, "dense", i + 1) for i in range(9)]
+    ring += [(i + 1, "dense", i) for i in range(9)]
+    return build_label_matrices(10, ring + [(0, "sparse", 1)])
 
 
 @pytest.fixture

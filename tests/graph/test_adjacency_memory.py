@@ -3,25 +3,39 @@
 ``Graph.matrices()`` builds every label's forward and backward CSR
 lists when the graph is loaded, and the query path (solve, prune,
 join) never asks for a dense |V|-bit row block.  A dense block is
-still derivable on request, bit-equal to one built edge by edge.
+still derivable on request, bit-equal to rows built edge by edge.
+Loading keeps no Python container per edge or per node beyond the
+node dictionary.
 """
 
+import gc
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro import Database
-from repro.bitvec import LabelMatrixPair
-from repro.graph import Graph
+from repro.bitvec import Bitset
+from repro.graph import Graph, GraphDatabase
 from repro.workloads import LUBM_QUERIES, generate_lubm
 
 
 def _dense_build(graph):
-    pairs = {}
+    """label -> (forward rows, backward rows), each ``{node: Bitset}``
+    built from Python sets, one edge at a time."""
+    sets = {}
     for s, label, d in graph.indexed_edges():
-        pairs.setdefault(label, LabelMatrixPair(graph.n_nodes)).add_edge(s, d)
-    return {label: pair.pack() for label, pair in pairs.items()}
+        forward, backward = sets.setdefault(label, ({}, {}))
+        forward.setdefault(s, set()).add(d)
+        backward.setdefault(d, set()).add(s)
+    return {
+        label: tuple(
+            {node: Bitset.from_indices(graph.n_nodes, members)
+             for node, members in side.items()}
+            for side in sides
+        )
+        for label, sides in sets.items()
+    }
 
 
 @pytest.fixture(scope="module")
@@ -74,23 +88,25 @@ def test_later_pack_equals_dense_build(queried):
     dense = _dense_build(queried)
     matrices = queried.matrices()
     assert set(matrices) == set(dense)
+    n = queried.n_nodes
     for label, pair in matrices.items():
         pair.pack()
-        for got, want in (
-            (pair.forward, dense[label].forward),
-            (pair.backward, dense[label].backward),
-        ):
-            assert np.array_equal(got._row_nodes, want._row_nodes)
-            assert np.array_equal(got._packed, want._packed)
-            assert got.rows.keys() == want.rows.keys()
-            for node, row in want.rows.items():
+        for got, want in zip((pair.forward, pair.backward), dense[label]):
+            nodes = sorted(want)
+            assert got._row_nodes.tolist() == nodes
+            assert np.array_equal(
+                got._packed,
+                np.array([want[node].words for node in nodes]),
+            )
+            assert got.rows.keys() == want.keys()
+            for node, row in want.items():
                 assert got.rows[node] == row
-            assert got.summary == want.summary
+            assert got.summary == Bitset.from_indices(n, nodes)
 
 
 def test_matrices_allocate_under_four_times_edge_columns(lubm):
     graph = Graph.from_edges(lubm.edges())
-    column_bytes = 2 * np.dtype(np.int64).itemsize * graph.n_edges
+    column_bytes = 2 * np.dtype(np.int64).itemsize * lubm.n_edges
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -100,3 +116,16 @@ def test_matrices_allocate_under_four_times_edge_columns(lubm):
         tracemalloc.stop()
     assert matrices
     assert retained < 4 * column_bytes
+
+
+def test_loading_adds_no_container_per_node(lubm):
+    """Loading appends id columns: the GC-tracked objects it adds stay
+    under 1 % of the node count (a set per node would be 100 %+)."""
+    triples = list(lubm.triples())
+    gc.collect()
+    before = len(gc.get_objects())
+    db = GraphDatabase.from_triples(triples)
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    assert db.n_nodes == lubm.n_nodes
+    assert added < db.n_nodes // 100, (added, db.n_nodes)

@@ -1,5 +1,9 @@
 """Unit tests for the edge-labeled graph model."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import GraphError
@@ -107,8 +111,8 @@ class TestAdjacency:
         assert triangle.in_edges("a") == {("z", "c")}
 
     def test_degrees(self, triangle):
-        assert triangle.out_degree("a") == 1
-        assert triangle.in_degree("a") == 1
+        assert len(triangle.out_edges("a")) == 1
+        assert len(triangle.in_edges("a")) == 1
 
     def test_multi_successors(self):
         g = Graph()
@@ -119,9 +123,11 @@ class TestAdjacency:
     def test_idx_adjacency(self, triangle):
         a = triangle.node_index("a")
         b = triangle.node_index("b")
-        assert triangle.successors_idx(a, "x") == {b}
-        assert triangle.predecessors_idx(b, "x") == {a}
-        assert ("x", b) in triangle.out_items_idx(a)
+        pair = triangle.label_matrix("x")
+        assert pair.forward.successors(a).tolist() == [b]
+        assert pair.backward.successors(b).tolist() == [a]
+        assert pair.forward.successors(b).tolist() == []
+        assert (a, "x", b) in set(triangle.indexed_edges())
 
 
 class TestMatrices:
@@ -152,13 +158,39 @@ class TestMatrices:
         }
 
 
-class TestSubgraph:
-    def test_subgraph_triples(self, triangle):
-        keep = {
-            (triangle.node_index("a"), "x", triangle.node_index("b"))
-        }
-        sub = triangle.subgraph_triples(keep)
-        assert set(sub.edges()) == {("a", "x", "b")}
+class TestOrder:
+    _SCRIPT = (
+        "from repro.graph import Graph\n"
+        "triples = [(f'n{i % 7}', f'label{(3 * i) % 11}', f'n{i % 5}')\n"
+        "           for i in range(60)]\n"
+        "g = Graph.from_edges(triples)\n"
+        "print(list(g.matrices()))\n"
+        "print(list(g.edges()))\n"
+    )
 
+    def _run(self, seed):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (*sys.path, env.get("PYTHONPATH", "")) if p
+        )
+        return subprocess.run(
+            [sys.executable, "-c", self._SCRIPT], env=env,
+            capture_output=True, text=True, check=True,
+        ).stdout
+
+    def test_order_does_not_depend_on_hash_seed(self):
+        assert self._run(0) == self._run(7)
+
+    def test_labels_in_first_seen_order(self):
+        g = Graph.from_edges([("a", "q", "b"), ("b", "p", "a"),
+                              ("a", "q", "c"), ("c", "r", "a")])
+        assert list(g.matrices()) == ["q", "p", "r"]
+        assert list(g.edges()) == [
+            ("a", "q", "b"), ("a", "q", "c"), ("b", "p", "a"),
+            ("c", "r", "a"),
+        ]
+
+
+class TestSubgraph:
     def test_repr(self, triangle):
         assert "|V|=3" in repr(triangle)

@@ -9,8 +9,6 @@ import warnings
 
 import pytest
 
-from repro._deprecation import reset_deprecation_registry
-
 EXAMPLES_DIR = pathlib.Path(__file__).parent.parent.parent / "examples"
 EXAMPLES = sorted(EXAMPLES_DIR.glob("*.py"))
 
@@ -41,7 +39,6 @@ def test_example_runs(path, capsys, monkeypatch):
         )
     if path.stem == "when_to_prune":
         monkeypatch.setattr(module, "SCALE", 2)
-    reset_deprecation_registry()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         module.main()

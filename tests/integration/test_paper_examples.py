@@ -77,11 +77,11 @@ class TestFigure2:
 
     def test_r1_r2_example(self):
         # Reproduces the r1/r2 computation of Sect. 3.2 exactly.
-        from repro.bitvec import Bitset, LabelMatrixPair
-        pair = LabelMatrixPair(5)
+        from repro.bitvec import Bitset, build_label_matrices
         # v1=place v2=director1 v3=director2 v4=coworker v5=movie
-        pair.add_edge(1, 0)
-        pair.add_edge(2, 0)
+        pair = build_label_matrices(
+            5, [(1, "born_in", 0), (2, "born_in", 0)]
+        )["born_in"]
         chi = Bitset.ones(5)
         r1 = pair.product(chi, "forward", strategy="row")
         r2 = pair.product(chi, "backward", strategy="row")

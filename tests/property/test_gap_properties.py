@@ -3,7 +3,7 @@ product strategies."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.bitvec import Bitset, LabelMatrixPair
+from repro.bitvec import Bitset, LabelMatrixPair, build_label_matrices
 from repro.bitvec.gap import decode, encode
 
 WIDTH = 180
@@ -34,12 +34,12 @@ def test_gap_runs_alternate_nonzero(members):
 
 @st.composite
 def matrices_and_vectors(draw, n=40):
-    pair = LabelMatrixPair(n)
     n_edges = draw(st.integers(min_value=0, max_value=60))
-    for _ in range(n_edges):
-        pair.add_edge(
-            draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-        )
+    edges = [
+        (draw(st.integers(0, n - 1)), "l", draw(st.integers(0, n - 1)))
+        for _ in range(n_edges)
+    ]
+    pair = build_label_matrices(n, edges).get("l", LabelMatrixPair(n))
     vec = Bitset.from_indices(
         n, draw(st.sets(st.integers(0, n - 1)))
     )

@@ -21,7 +21,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bitvec import (
     Bitset,
-    LabelMatrixPair,
     build_label_matrices,
     use_kernel,
 )
@@ -123,39 +122,40 @@ def test_products_bit_identical_across_kernels(inputs):
             assert packed == reference
 
 
-def _dense_pairs(n, edges):
-    """The same label matrices built edge by edge (dense rows)."""
-    pairs = {}
-    for src, label, dst in edges:
-        pairs.setdefault(label, LabelMatrixPair(n)).add_edge(src, dst)
-    return pairs
+def _set_product(edges, direction, members, mask=None):
+    """The Eq. (9) product over a label's ``(s, d)`` edge set, in
+    plain set semantics (the oracle no matrix layout shares)."""
+    if direction == "backward":
+        edges = {(d, s) for s, d in edges}
+    out = {d for s, d in edges if s in members}
+    return out if mask is None else out & mask
 
 
-def _assert_csr_products_match(csr, dense, vec, masks):
-    """Packed (CSR) products of ``csr`` equal reference products of
-    the dense-built ``dense``, for every strategy and direction."""
-    for direction in DIRECTIONS:
-        for mask in masks:
-            for strategy in STRATEGIES:
-                with use_kernel("packed"):
-                    got = csr.product(
-                        vec, direction, mask=mask, strategy=strategy
+def _assert_csr_products_match(n, pair, edges, vec, masks):
+    """``pair``'s products — on the CSR (``packed``) and on the dense
+    rows derived from it (``reference``) — equal the set products of
+    ``edges``, for every strategy and direction."""
+    members = set(vec.iter_ones().tolist())
+    for kernel in ("packed", "reference"):
+        with use_kernel(kernel):
+            for direction in DIRECTIONS:
+                for mask in masks:
+                    want = _set_product(
+                        edges, direction, members,
+                        set(mask.iter_ones().tolist()),
                     )
-                with use_kernel("reference"):
-                    want = dense.product(
-                        vec, direction, mask=mask, strategy=strategy
-                    )
-                assert got == want, (direction, strategy)
-        with use_kernel("packed"):
-            got = csr.product(vec, direction, strategy="row")
-        with use_kernel("reference"):
-            want = dense.product(vec, direction, strategy="row")
-        assert got == want
-    s, o = csr.edge_columns()
-    expected = sorted(
-        (i, int(j)) for i, row in dense.forward.rows.items() for j in row
-    )
-    assert list(zip(s.tolist(), o.tolist())) == expected
+                    for strategy in STRATEGIES:
+                        got = pair.product(
+                            vec, direction, mask=mask, strategy=strategy
+                        )
+                        assert got == Bitset.from_indices(n, want), (
+                            kernel, direction, strategy,
+                        )
+                got = pair.product(vec, direction, strategy="row")
+                want = _set_product(edges, direction, members)
+                assert got == Bitset.from_indices(n, want)
+    s, o = pair.edge_columns()
+    assert list(zip(s.tolist(), o.tolist())) == sorted(edges)
 
 
 @given(
@@ -166,32 +166,38 @@ def _assert_csr_products_match(csr, dense, vec, masks):
 )
 @settings(max_examples=80, deadline=None)
 def test_csr_products_match_reference(inputs, extra_src, extra_dst, full):
-    """CSR products — of pairs built from edge columns and of pairs
-    that arrived dense — equal the reference products over dense rows,
-    with empty, full and drawn masks, across word boundaries and with
-    isolated nodes; an edge added after the CSR was cached is seen."""
+    """CSR products, and the dense rows derived from the CSR, equal
+    set-semantics products, with empty, full and drawn masks, across
+    word boundaries and with isolated nodes; an edge added to a
+    ``Graph`` after its matrices were built is seen."""
     n, edges, vec_members, mask_members = inputs
     vec = Bitset.ones(n) if full else Bitset.from_indices(n, vec_members)
     masks = (
         Bitset.zeros(n), Bitset.ones(n), Bitset.from_indices(n, mask_members)
     )
+    by_label = {}
+    for src, label, dst in edges:
+        by_label.setdefault(label, set()).add((src, dst))
     csr_pairs = build_label_matrices(n, edges)
-    dense_pairs = _dense_pairs(n, edges)
-    assert set(csr_pairs) == set(dense_pairs)
+    assert set(csr_pairs) == set(by_label)
     for label, csr in csr_pairs.items():
-        dense = dense_pairs[label]
         assert not csr.forward.is_packed and not csr.backward.is_packed
-        _assert_csr_products_match(csr, dense, vec, masks)
-        # A dense-built pair derives its CSR from the block.
-        _assert_csr_products_match(dense, dense, vec, masks)
-        # Both CSRs are cached now; a new edge must not be served stale.
-        src, dst = extra_src % n, extra_dst % n
-        for pair in (csr, dense):
-            pair.add_edge(src, dst)
-        assert csr.forward.has_edge(src, dst)
-        assert csr.backward.has_edge(dst, src)
-        _assert_csr_products_match(csr, dense, vec, masks)
-        _assert_csr_products_match(dense, dense, vec, masks)
+        _assert_csr_products_match(n, csr, by_label[label], vec, masks)
+    # The graph's matrices are cached; a new edge must not be served
+    # stale.
+    graph = Graph()
+    for i in range(n):
+        graph.add_node(i)
+    for src, label, dst in edges:
+        graph.add_edge(src, label, dst)
+    graph.matrices()
+    src, dst = extra_src % n, extra_dst % n
+    graph.add_edge(src, LABELS[0], dst)
+    by_label.setdefault(LABELS[0], set()).add((src, dst))
+    pair = graph.matrices()[LABELS[0]]
+    assert pair.forward.has_edge(src, dst)
+    assert pair.backward.has_edge(dst, src)
+    _assert_csr_products_match(n, pair, by_label[LABELS[0]], vec, masks)
 
 
 @given(matrix_inputs(max_nodes=40, max_edges=80))

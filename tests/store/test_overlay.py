@@ -345,6 +345,42 @@ class TestBatchedBlockOnWrite:
             assert live == folded.query(query).as_set()
 
 
+class TestNodeGrowthKeepsCleanLabels:
+    """A write that only adds nodes leaves every other label's edges
+    alone: those labels adopt the base's CSR arrays at the new width
+    instead of being rebuilt."""
+
+    def test_requery_after_new_node_rebuilds_no_untouched_label(
+        self, lubm_snapshot, tmp_path, monkeypatch
+    ):
+        from repro.store.overlay import OverlayGraphView
+        from repro.workloads.queries import LUBM_QUERIES
+
+        built = []
+        build_pair = OverlayGraphView._build_pair
+
+        def spy(view, label):
+            built.append(label)
+            return build_pair(view, label)
+
+        monkeypatch.setattr(OverlayGraphView, "_build_pair", spy)
+        query = LUBM_QUERIES["L0"]
+        with Database.edit(lubm_snapshot) as db:
+            db.query(query, mode="pruned").rows()
+            db.add([("brand:new", "name", "x")])
+            assert db.backend.graph.n_new_nodes == 2
+            live = db.query(query, mode="pruned").as_set()
+            assert not {"advisor", "takesCourse", "teacherOf"} & set(built)
+            widened = db.backend.graph.matrices()["advisor"]
+            base = db.backend.base.graph.matrices()["advisor"]
+            assert widened.n == base.n + 2
+            assert widened.forward._indices is base.forward._indices
+            compacted = tmp_path / "compacted.snap"
+            db.compact(compacted)
+        with Database.open(compacted, cached=False) as folded:
+            assert live == folded.query(query, mode="pruned").as_set()
+
+
 def _edges(pair):
     rows = pair.forward.rows
     for s in rows:

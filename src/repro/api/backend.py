@@ -140,12 +140,12 @@ class GraphBackend(Protocol):
 class InMemoryBackend:
     """Backend over a fully materialized :class:`GraphDatabase`.
 
-    The join-engine store fills a label's indexes from the graph's
-    CSR columns on its first engine touch, so solver-only sessions
+    The join-engine store reads a label direction's CSR from the
+    graph on its first engine touch, so solver-only sessions
     (``simulate``) never pay for the dictionary-encoded indexes.
     ``graph_db`` may be any object with the
     :class:`~repro.graph.graph.Graph` read interface, ``triples()``
-    and the store's column-source pair ``edge_columns`` /
+    and the store's column-source pair ``label_csr`` /
     ``label_counts`` (a :class:`GraphDatabase`, a
     :class:`~repro.storage.TieredGraphView`, ...).
     """

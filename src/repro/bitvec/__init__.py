@@ -30,10 +30,12 @@ from repro.bitvec.kernel import (
     use_kernel,
 )
 from repro.bitvec.matrix import (
+    CSR,
     AdjacencyMatrix,
     LabelMatrixPair,
     NO_EDGES,
     build_label_matrices,
+    csr_from_sorted_columns,
     label_matrices_from_columns,
 )
 
@@ -41,8 +43,10 @@ __all__ = [
     "Bitset",
     "AdjacencyMatrix",
     "LabelMatrixPair",
+    "CSR",
     "NO_EDGES",
     "build_label_matrices",
+    "csr_from_sorted_columns",
     "label_matrices_from_columns",
     "BatchedBlockSet",
     "KERNELS",

@@ -62,6 +62,9 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+#: One direction's sorted CSR: ``(row nodes, indptr, indices)``.
+CSR = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
 #: The ``(s, o)`` columns of a label without edges.
 NO_EDGES: Tuple[np.ndarray, np.ndarray] = (
     _frozen(np.empty(0, dtype=np.int64)),
@@ -75,6 +78,16 @@ def _check_range(n: int, *columns: np.ndarray) -> None:
     for column in columns:
         if column.size and (column.min() < 0 or column.max() >= n):
             raise IndexError(f"node index out of range for {n} nodes")
+
+
+def csr_from_sorted_columns(rows: np.ndarray, columns: np.ndarray) -> CSR:
+    """The CSR of int64 edge columns sorted by ``(row, column)``
+    without repeats: one run of ``rows`` per CSR row."""
+    if rows.size:
+        starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+    else:
+        starts = np.empty(0, dtype=np.int64)
+    return rows[starts], np.append(starts, rows.size), columns
 
 
 def _gather(
@@ -172,13 +185,7 @@ class AdjacencyMatrix:
         """A CSR matrix over int64 edge columns sorted by
         ``(row, column)`` without repeats."""
         _check_range(n, rows, columns)
-        if rows.size:
-            starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-        else:
-            starts = np.empty(0, dtype=np.int64)
-        return cls.from_csr(
-            n, rows[starts], np.append(starts, rows.size), columns
-        )
+        return cls.from_csr(n, *csr_from_sorted_columns(rows, columns))
 
     # -- derived layouts -------------------------------------------------
 
@@ -225,7 +232,7 @@ class AdjacencyMatrix:
         self._bit_shift = (nodes % _WORD_BITS).astype(np.uint64)
         self._packed = packed
 
-    def _csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _csr(self) -> CSR:
         """``(row nodes, indptr, indices)``."""
         return self._row_nodes, self._indptr, self._indices
 
@@ -356,6 +363,11 @@ class LabelMatrixPair:
         """The label's edges as sorted ``(s, o)`` int64 columns: the
         forward CSR's lists, the row-node column cached beside them."""
         return self.forward.edge_columns()
+
+    def csr(self, direction: str) -> CSR:
+        """The ``"forward"`` or ``"backward"`` matrix's CSR, as held."""
+        matrix = self.forward if direction == "forward" else self.backward
+        return matrix._csr()
 
     def label_counts(self) -> Tuple[int, int, int]:
         """``(edges, distinct subjects, distinct objects)``: the edge

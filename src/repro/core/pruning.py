@@ -11,7 +11,9 @@ mask over the label's sorted ``(s, o)`` edge columns, OR-ed across the
 SOI edges and union branches that use the label.
 :func:`retained_triples` is the same rule bit by bit, kept as the
 specification the tests compare against.  The kept columns are the
-pruned store's column source (:meth:`PruneResult.to_store`).
+pruned store's column source (:meth:`PruneResult.to_store`): a
+label's forward CSR as they are, its backward CSR after one stable
+sort by object, each built when the join first reads that direction.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.bitvec import NO_EDGES
+from repro.bitvec import CSR, NO_EDGES, csr_from_sorted_columns
 from repro.core.solver import SolverResult
 from repro.graph.database import GraphDatabase
 from repro.graph.graph import Graph
@@ -90,8 +92,8 @@ class PruneResult:
 
     def to_store(self, store: Optional[TripleStore] = None) -> TripleStore:
         """The retained triples as a join-engine store, in O(1): the
-        store fills a label's indexes from its masked columns on first
-        touch.
+        store reads a label direction's CSR of the kept columns on
+        first touch.
 
         ``store`` is the full store over :attr:`data`; its node ids
         must be the graph's node indices.  The pruned store shares its
@@ -108,8 +110,18 @@ class PruneResult:
 
     # -- column source of the pruned store ---------------------------------
 
-    def edge_columns(self, label: str) -> Columns:
-        return self.columns.get(label, NO_EDGES)
+    def label_csr(self, label: str, direction: str) -> Optional[CSR]:
+        """The kept columns as one direction's CSR: the forward one
+        as they are, the backward one after a stable sort by object
+        (subjects stay sorted within each object)."""
+        columns = self.columns.get(label)
+        if columns is None:
+            return None
+        subjects, objects = columns
+        if direction == "backward":
+            order = np.argsort(objects, kind="stable")
+            subjects, objects = objects[order], subjects[order]
+        return csr_from_sorted_columns(subjects, objects)
 
     def label_counts(self, label: str) -> Tuple[int, int, int]:
         subjects, objects = self.columns.get(label, NO_EDGES)

@@ -25,7 +25,7 @@ from typing import Dict, Hashable, Iterable, Iterator, List, Set, Tuple
 import numpy as np
 
 from repro.bitvec import (
-    NO_EDGES,
+    CSR,
     Bitset,
     LabelMatrixPair,
     label_matrices_from_columns,
@@ -199,10 +199,10 @@ class Graph:
 
     # -- column source of the join store ---------------------------------
 
-    def edge_columns(self, label: str) -> Tuple[np.ndarray, np.ndarray]:
-        """The label's sorted ``(s, o)`` columns (its forward CSR)."""
+    def label_csr(self, label: str, direction: str) -> CSR | None:
+        """One direction of the label's pair, as its CSR."""
         pair = self.matrices().get(label)
-        return NO_EDGES if pair is None else pair.edge_columns()
+        return None if pair is None else pair.csr(direction)
 
     def label_counts(self, label: str) -> Tuple[int, int, int]:
         """``(edges, distinct subjects, distinct objects)``."""

@@ -5,8 +5,10 @@ term dictionaries, and the array table — O(dictionary) work, not
 O(edges).  Adjacency arrays stay untouched until asked for:
 :meth:`SnapshotReader.csr` returns a label direction's ``row_nodes``,
 ``indptr`` and ``indices`` as **zero-copy read-only views** into the
-mapping, after checking them once against their CRC32Cs and the CSR
-invariants (:func:`_csr_problem`).  Everything else that reads
+mapping, after checking them once against their CRC32Cs, the CSR
+invariants (:func:`_csr_problem`) and, the label being the unit of
+that check, the backward arrays against the transpose of the forward
+ones (:func:`_transpose_problem`).  Everything else that reads
 adjacency — :meth:`~SnapshotReader.iter_id_triples`,
 :meth:`~SnapshotReader.verify` — reads those same arrays.
 
@@ -25,6 +27,7 @@ from typing import Dict, Hashable, Iterator, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
+from repro.bitvec import CSR
 from repro.errors import SnapshotCorruptError, SnapshotError
 from repro.storage.checksum import crc32c
 from repro.storage.format import (
@@ -43,8 +46,6 @@ from repro.storage.format import (
 _META_SECTIONS = (
     "header", "nodes dictionary", "predicates dictionary", "array table",
 )
-
-CSR = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _csr_problem(
@@ -177,6 +178,10 @@ class VerificationReport:
 
 def _payload(label: str, direction: str) -> str:
     return f"payload {label}/{direction}"
+
+
+def _transpose(label: str) -> str:
+    return f"payload {label} transpose"
 
 
 class SnapshotReader:
@@ -369,13 +374,31 @@ class SnapshotReader:
         )
 
     def _checked_csr(self, label: str, direction: str) -> CSR:
-        """The views, checked once per reader: the mapping is immutable
-        for the reader's lifetime, so one pass suffices no matter how
-        often the arrays are read."""
-        key = (label, direction)
-        if key in self._verified:
-            return self._views(label, direction)
-        for section, offset, length, slot in self._array_ranges(*key):
+        """The views, checked once per reader and label: the mapping is
+        immutable for the reader's lifetime, so one pass suffices no
+        matter how often the arrays are read.
+
+        The label is the unit of the check, because every reader of
+        one direction relies on the other — the solver's column-wise
+        products read ``B_a`` as the transpose of ``F_a``.  The first
+        read of either direction checks both directions' CRCs and CSR
+        invariants and that backward is the transpose of forward.
+        """
+        if (label, direction) not in self._verified:
+            arrays = {d: self._structured_csr(label, d) for d in DIRECTIONS}
+            problem = _transpose_problem(arrays["forward"], arrays["backward"])
+            if problem is not None:
+                raise SnapshotCorruptError(
+                    f"{label}: {problem}", section=_transpose(label)
+                )
+            self._verified.update((label, d) for d in DIRECTIONS)
+        return self._views(label, direction)
+
+    def _structured_csr(self, label: str, direction: str) -> CSR:
+        """One direction's views after its CRC32Cs and CSR invariants."""
+        for section, offset, length, slot in self._array_ranges(
+            label, direction
+        ):
             self._verify_range(section, offset, length, slot)
         arrays = self._views(label, direction)
         problem = _csr_problem(self.n_nodes, *arrays)
@@ -384,7 +407,6 @@ class SnapshotReader:
                 f"{label}/{direction}: {problem}",
                 section=_payload(label, direction),
             )
-        self._verified.add(key)
         return arrays
 
     def csr(self, label: str, direction: str) -> CSR:
@@ -462,7 +484,7 @@ class SnapshotReader:
                 continue
             problem = _transpose_problem(forward, backward)
             sections.append(SectionCheck(
-                f"payload {label} transpose",
+                _transpose(label),
                 "ok" if problem is None else "corrupt",
                 problem or "",
             ))

@@ -26,9 +26,9 @@ OS page cache, which already evicts them under memory pressure.
 
 The view is also the join store's column source
 (:class:`~repro.store.triple_store.TripleStore`): ``label_counts``
-answers from the array table, and ``edge_columns`` reads a cold
-label's forward arrays as a promotion does — checked, under the
-view's :class:`RetryPolicy` — without making it resident.
+answers from the array table, and ``label_csr`` hands out one label
+direction's CSR views as a promotion reads them — checked, under the
+view's :class:`RetryPolicy` — without making a cold label resident.
 
 A view is read-only; it intentionally does **not** implement the
 mutation or set-based traversal surface of :class:`Graph` (``add_edge``,
@@ -54,9 +54,7 @@ from typing import (
     Union,
 )
 
-import numpy as np
-
-from repro.bitvec import NO_EDGES, AdjacencyMatrix, Bitset, LabelMatrixPair
+from repro.bitvec import CSR, AdjacencyMatrix, Bitset, LabelMatrixPair
 from repro.errors import GraphError, SnapshotError
 from repro.obs.logs import get_logger
 from repro.obs.metrics import registry
@@ -342,21 +340,15 @@ class TieredGraphView:
 
     # -- column source of the join store ---------------------------------
 
-    def edge_columns(self, label: str) -> Tuple[np.ndarray, np.ndarray]:
-        """The label's sorted ``(s, o)`` columns: a resident pair's, or
-        the forward arrays read as a promotion reads them (checked,
-        under the retry policy) without making the label resident, so
-        residency stays what the solver touched."""
-        pair = self._pairs.get(label)
-        if pair is not None:
-            return pair.edge_columns()
+    def label_csr(self, label: str, direction: str) -> CSR | None:
+        """One direction's arrays, read as a promotion reads them
+        (checked, under the retry policy): the views a resident pair
+        adopted, without making a cold label resident, so residency
+        stays what the solver touched."""
         if label not in self._label_set:
-            return NO_EDGES
+            return None
         reader = self.reader
-        rows, indptr, objects = self._with_retries(
-            lambda: reader.csr(label, "forward")
-        )
-        return np.repeat(rows, np.diff(indptr)), objects
+        return self._with_retries(lambda: reader.csr(label, direction))
 
     def label_counts(self, label: str) -> Tuple[int, int, int]:
         """``(edges, distinct subjects, distinct objects)`` from the

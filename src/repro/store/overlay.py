@@ -28,9 +28,9 @@ fixpoint maintenance layer (:mod:`repro.core.incremental`) uses to
 decide which solver variables a delta can re-activate.
 
 The view is also the join store's column source: the backend's
-:class:`~repro.store.triple_store.TripleStore` fills a delta-free
-label from the base view's columns and a dirty label from its
-rebuilt pair, and counts both without a fill.  A write is one
+:class:`~repro.store.triple_store.TripleStore` reads a delta-free
+label's CSR from the base view and a dirty label's from its rebuilt
+pair, and counts both without a fill.  A write is one
 :meth:`~repro.store.triple_store.TripleStore.invalidate` of the
 touched labels plus growth of the store's node dictionary.
 """
@@ -42,7 +42,7 @@ from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tupl
 
 import numpy as np
 
-from repro.bitvec import NO_EDGES, AdjacencyMatrix, Bitset, LabelMatrixPair
+from repro.bitvec import CSR, AdjacencyMatrix, Bitset, LabelMatrixPair
 from repro.errors import GraphError
 from repro.graph.database import Literal
 from repro.obs.metrics import registry
@@ -408,13 +408,13 @@ class OverlayGraphView:
 
     # -- column source of the join store -----------------------------------
 
-    def edge_columns(self, label: str) -> Tuple[np.ndarray, np.ndarray]:
-        """A delta-free label's columns from the base, a dirty label's
+    def label_csr(self, label: str, direction: str) -> Optional[CSR]:
+        """A delta-free label's CSR from the base, a dirty label's
         from its rebuilt pair."""
         if self._delta_free(label):
-            return self._base_graph.edge_columns(label)
+            return self._base_graph.label_csr(label, direction)
         pair = self._pair_for(label)
-        return NO_EDGES if pair is None else pair.edge_columns()
+        return None if pair is None else pair.csr(direction)
 
     def label_counts(self, label: str) -> Tuple[int, int, int]:
         """A delta-free label's counts from the base (decode-free over

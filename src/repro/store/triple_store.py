@@ -6,18 +6,22 @@ encoded (one dense id space for nodes, one for predicates) and indexed
 per predicate both subject->objects and object->subjects, so every
 bound/unbound access pattern of a triple lookup is served by an index.
 
-The store holds no triples of its own.  It reads them, one label at
-a time, from a :class:`ColumnSource` — the database as its per-label
-adjacency ``F_a`` / ``B_a`` (paper Sect. 3.2–3.3).  Every backend's
-graph view is one (:class:`~repro.graph.graph.Graph`,
+The store holds no triples of its own.  It reads them, one label
+direction at a time, from a :class:`ColumnSource` — the database as
+its per-label adjacency ``F_a`` / ``B_a`` (paper Sect. 3.2–3.3), each
+a sorted CSR ``(row nodes, indptr, indices)``.  Every backend's graph
+view is one (:class:`~repro.graph.graph.Graph`,
 :class:`~repro.storage.TieredGraphView`,
 :class:`~repro.store.overlay.OverlayGraphView`), and so is a
 :class:`~repro.core.pruning.PruneResult`:
 
-* a label's pso (pos) index is filled from its sorted ``(s, o)``
-  columns on the first lookup that reads it (:meth:`_fill_columns`) —
-  a lookup pattern reads one direction, so the other may never be
-  built; a fully wildcard pattern fills every label;
+* a label's pso (pos) index is its forward (backward) CSR as the
+  source holds it, read into ``row node -> tuple(row)`` on the first
+  lookup that reads it (:meth:`_fill`) — nothing is regrouped, sorted
+  or put in a set, and a tuple of ints leaves the garbage collector's
+  tracking at its next pass.  A lookup pattern reads one direction,
+  so the other may never be read; a fully wildcard pattern fills
+  every label;
 * ``predicate_count`` / ``distinct_subjects`` / ``distinct_objects``
   come from the source's per-label counts and fill nothing, so
   :class:`~repro.store.statistics.StoreStatistics` (join ordering, the
@@ -42,12 +46,10 @@ from typing import (
     Iterator,
     Optional,
     Protocol,
-    Set,
     Tuple,
 )
 
-import numpy as np
-
+from repro.bitvec import CSR
 from repro.errors import GraphError, StoreError
 from repro.graph.database import GraphDatabase
 from repro.obs.metrics import registry
@@ -57,15 +59,18 @@ IdTriple = Tuple[int, int, int]
 NameTriple = Tuple[Hashable, str, Hashable]
 #: ``(edges, distinct subjects, distinct objects)`` of one label.
 LabelCounts = Tuple[int, int, int]
+#: ``row node -> its CSR row`` of one label direction.
+Index = Dict[int, Tuple[int, ...]]
 
 
 class ColumnSource(Protocol):
     """What a :class:`TripleStore` fills its indexes from."""
 
-    def edge_columns(self, label: Hashable) -> Tuple[np.ndarray, np.ndarray]:
-        """The label's ``(s, o)`` int64 columns, sorted by subject
-        then object, without repeats (its forward CSR); empty columns
-        for a label without edges."""
+    def label_csr(self, label: Hashable, direction: str) -> Optional[CSR]:
+        """The label's ``"forward"`` (subject -> objects) or
+        ``"backward"`` (object -> subjects) adjacency as sorted int64
+        CSR ``(row nodes, indptr, indices)``; ``None`` for a label
+        without edges."""
         ...
 
     def label_counts(self, label: Hashable) -> LabelCounts:
@@ -74,16 +79,16 @@ class ColumnSource(Protocol):
         ...
 
 
-def _index(keys: np.ndarray, values: np.ndarray) -> Dict[int, Set[int]]:
-    """``key -> set(values)`` over two columns sorted by key."""
-    if keys.size == 0:
+def _index(csr: Optional[CSR]) -> Index:
+    """``row node -> tuple(row)`` over one CSR, rows as stored."""
+    if csr is None:
         return {}
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    bounds = np.append(starts, keys.size).tolist()
-    members = values.tolist()
+    rows, indptr, indices = csr
+    members = tuple(indices.tolist())
+    bounds = indptr.tolist()
     return {
-        key: set(members[lo:hi])
-        for key, lo, hi in zip(keys[starts].tolist(), bounds, bounds[1:])
+        row: members[lo:hi]
+        for row, lo, hi in zip(rows.tolist(), bounds, bounds[1:])
     }
 
 
@@ -108,9 +113,9 @@ class TripleStore:
         self.nodes = nodes
         self.predicates = predicates
         self._count_fills = count_fills
-        # p -> s -> set(o)   and   p -> o -> set(s), per filled label
-        self._pso: Dict[int, Dict[int, Set[int]]] = {}
-        self._pos: Dict[int, Dict[int, Set[int]]] = {}
+        # p -> s -> (o, ...)   and   p -> o -> (s, ...), per filled label
+        self._pso: Dict[int, Index] = {}
+        self._pos: Dict[int, Index] = {}
         self._counts: Dict[int, LabelCounts] = {}
         #: Per-label fills so far (0 == nothing was decoded).
         self.fill_count = 0
@@ -140,24 +145,17 @@ class TripleStore:
 
     # -- per-label fill ----------------------------------------------------
 
-    def _fill_columns(
-        self, p: int, by_object: bool
-    ) -> Optional[Dict[int, Set[int]]]:
-        """Predicate ``p``'s ``s -> {o}`` (or ``o -> {s}``) index,
-        filled from its source columns on first use; ``None`` for an
-        id outside the dictionary.  Each direction fills on its own: a
-        lookup pattern reads one of them."""
-        indexes = self._pos if by_object else self._pso
+    def _fill(self, p: int, direction: str) -> Optional[Index]:
+        """Predicate ``p``'s ``"forward"`` (pso) or ``"backward"``
+        (pos) index, read from the source's CSR on first use; ``None``
+        for an id outside the dictionary.  Each direction fills on its
+        own: a lookup pattern reads one of them."""
+        indexes = self._pso if direction == "forward" else self._pos
         index = indexes.get(p)
         if index is not None or not 0 <= p < len(self.predicates):
             return index
         label = self.predicates.decode(p)
-        subjects, objects = self.source.edge_columns(label)
-        if by_object:  # one stable sort by object: subjects stay sorted
-            order = np.argsort(objects, kind="stable")
-            index = _index(objects[order], subjects[order])
-        else:
-            index = _index(subjects, objects)
+        index = _index(self.source.label_csr(label, direction))
         if p not in self._pso and p not in self._pos:
             self.fill_count += 1
             if self._count_fills:
@@ -168,8 +166,8 @@ class TripleStore:
     def fill_all(self) -> None:
         """Fill both indexes of every predicate (idempotent)."""
         for p in range(len(self.predicates)):
-            self._fill_columns(p, by_object=False)
-            self._fill_columns(p, by_object=True)
+            self._fill(p, "forward")
+            self._fill(p, "backward")
 
     @property
     def filled_predicates(self) -> FrozenSet[int]:
@@ -233,7 +231,7 @@ class TripleStore:
     # -- lookups (fill the touched label first) -------------------------------
 
     def contains_ids(self, s: int, p: int, o: int) -> bool:
-        by_subject = self._fill_columns(p, by_object=False)
+        by_subject = self._fill(p, "forward")
         if by_subject is None:
             return False
         objects = by_subject.get(s)
@@ -258,7 +256,9 @@ class TripleStore:
         if p is None:
             self.fill_all()
             predicates: Iterable[int] = range(len(self.predicates))
-        elif self._fill_columns(p, by_object=s is None and o is not None) is None:
+        elif self._fill(
+            p, "backward" if s is None and o is not None else "forward"
+        ) is None:
             return
         else:
             predicates = (p,)

@@ -1,5 +1,6 @@
 """Unit tests for the benchmark harness (small scales)."""
 
+import pytest
 
 from repro.bench import (
     database_for,
@@ -12,6 +13,8 @@ from repro.bench import (
     run_table2,
     run_table3,
 )
+from repro.bench.runner import _median_report
+from repro.pipeline.pruned_query import PipelineReport
 from repro.sparql.ast import BGP
 from repro.workloads import BENCH_QUERIES
 
@@ -60,6 +63,23 @@ class TestRunners:
         )
         assert [r.name for r in rows] == ["L4", "B16"]
         assert all(r.results_equal for r in rows)
+
+    def test_table_rows_report_median_timings(self):
+        runs = [
+            PipelineReport("L4", result_count=5, t_simulation=s,
+                           t_db_full=f, t_db_pruned=p)
+            for s, f, p in ((0.3, 9.0, 2.0), (0.1, 1.0, 3.0),
+                            (0.2, 2.0, 1.0))
+        ]
+        row = _median_report(runs)
+        assert (row.t_simulation, row.t_db_full, row.t_db_pruned) == \
+            (0.2, 2.0, 2.0)
+        assert row.result_count == 5
+
+    def test_table_rows_reject_disagreeing_runs(self):
+        runs = [PipelineReport("L4", result_count=n) for n in (5, 5, 6)]
+        with pytest.raises(RuntimeError, match="L4"):
+            _median_report(runs)
 
     def test_run_engine_table_profiles(self):
         for profile in ("rdfox-like", "virtuoso-like"):

@@ -103,8 +103,10 @@ def _check(backend):
             if q == label:
                 by_subject.setdefault(node_id(s), set()).add(node_id(o))
                 by_object.setdefault(node_id(o), set()).add(node_id(s))
-        assert store._pso[p] == by_subject, label
-        assert store._pos[p] == by_object, label
+        for index, want in ((store._pso[p], by_subject),
+                            (store._pos[p], by_object)):
+            assert {row: set(members) for row, members in index.items()} \
+                == want, label
 
 
 @given(script=scripts)

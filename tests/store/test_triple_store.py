@@ -1,5 +1,6 @@
 """Unit tests for the indexed triple store."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -154,3 +155,22 @@ class TestIdOrder:
             )
             orders.append(run.stdout)
         assert orders[0] == orders[1]
+
+
+class TestIndexLayout:
+    def test_filled_indexes_hold_no_per_row_container(self, small_lubm):
+        """The indexes read each label direction's CSR as the graph
+        holds it: filling every label leaves next to no object for the
+        garbage collector to track, where one set per row would add
+        one object per CSR row."""
+        store = TripleStore.from_graph_database(small_lubm)
+        rows = sum(
+            pair.forward.summary.count() + pair.backward.summary.count()
+            for pair in small_lubm.matrices().values()
+        )
+        gc.collect()
+        before = len(gc.get_objects())
+        store.fill_all()
+        gc.collect()
+        added = len(gc.get_objects()) - before
+        assert added < 0.05 * rows, (added, rows)

@@ -58,6 +58,7 @@ from repro.api.result import (
     SimulationOutcome,
 )
 from repro.core.degrade import DegradationEvent, capture_events
+from repro.core.incremental import CachedFixpoint, IncrementalSolver
 from repro.errors import (
     ContinuationError,
     ReproError,
@@ -166,9 +167,9 @@ class Database:
         self._advisor = None
         self._cache_key: Optional[Tuple[str, int, int]] = None
         self._degradations: list = []
-        # Per-query cached fixpoints for incremental maintenance on
-        # writable sessions; epochs (not resets) handle staleness.
-        self._fixpoint_cache = None
+        # Query text -> branch number -> cached fixpoint, on writable
+        # sessions; epochs (not resets) handle staleness.
+        self._fixpoints: Dict[str, Dict[int, CachedFixpoint]] = {}
 
     # -- constructors -----------------------------------------------------
 
@@ -236,9 +237,9 @@ class Database:
 
         Wraps the (possibly empty) database in an
         :class:`~repro.store.overlay.OverlayBackend` so :meth:`add`,
-        :meth:`retract` and :meth:`compact` work, and repeated queries
-        after small deltas are maintained incrementally (see
-        ``ExecutionProfile.incremental``).
+        :meth:`retract` and :meth:`compact` work, and a repeated query
+        reuses its cached fixpoint while no label it reads has changed
+        (see ``ExecutionProfile.incremental``).
         """
         from repro.store.overlay import OverlayBackend
 
@@ -386,8 +387,9 @@ class Database:
 
         Unknown subjects/objects extend the node space; adding a
         triple retracted earlier simply cancels the retraction.
-        Cached query fixpoints are maintained incrementally, not
-        discarded (see :mod:`repro.core.incremental`).
+        A cached query fixpoint is reused while no label its query
+        reads has changed, so a triple that only adds nodes costs the
+        next query no re-solve (see :mod:`repro.core.incremental`).
         """
         self._require_writable("add")
         applied = self.backend.add(triples)
@@ -425,10 +427,10 @@ class Database:
         """An :class:`~repro.core.incremental.IncrementalSolver` for
         this (query, session), or None to solve normally.
 
-        Incremental maintenance needs an epoch-tracking backend (the
-        overlay), the profile knob on, unbounded execution (a
-        preempted cascade would checkpoint synthetic state), and the
-        query as text (it is the cache key).
+        The fixpoint cache needs an epoch-tracking backend (the
+        overlay), the profile knob on, unbounded execution (a bounded
+        solve may suspend short of the fixpoint), and the query as
+        text (it is the cache key).
         """
         if limits is not None or not self.profile.incremental:
             return None
@@ -436,14 +438,7 @@ class Database:
             return None
         if not hasattr(self.backend.graph, "changed_since"):
             return None
-        from repro.core.incremental import FixpointCache, IncrementalSolver
-
-        if self._fixpoint_cache is None:
-            self._fixpoint_cache = FixpointCache()
-        return IncrementalSolver(
-            self._fixpoint_cache.entry(query),
-            self.profile.incremental_fallback_fraction,
-        )
+        return IncrementalSolver(self._fixpoints.setdefault(query, {}))
 
     def _pipeline_for(self):
         if self._pipeline is None:

@@ -66,15 +66,11 @@ class ExecutionProfile:
       (render with :func:`repro.obs.render_profile`, export with
       ``trace.write_jsonl``).  Off by default — the disabled path is a
       single module-global read per hook site.
-    * ``incremental`` — maintain cached dual-simulation fixpoints
-      incrementally on writable (overlay) sessions: after a delta, a
-      repeated query re-solves only the cone of influence the touched
-      labels can reach (:mod:`repro.core.incremental`), bit-identical
-      to a cold re-solve.  Ignored on read-only backends; on by
-      default.
-    * ``incremental_fallback_fraction`` — give up on the bounded
-      cascade and re-solve cold when the delta re-activates more than
-      this fraction of the query's inequalities.
+    * ``incremental`` — cache each query's dual-simulation fixpoint
+      on writable (overlay) sessions: a repeated query reuses it
+      while no label the query reads has changed, and re-solves cold
+      otherwise (:mod:`repro.core.incremental`).  Ignored on
+      read-only backends; on by default.
     """
 
     engine: str = "virtuoso-like"
@@ -85,7 +81,6 @@ class ExecutionProfile:
     deadline_ms: Optional[float] = None
     trace: bool = False
     incremental: bool = True
-    incremental_fallback_fraction: float = 0.5
 
     def __post_init__(self):
         if self.engine not in PROFILES:
@@ -109,11 +104,6 @@ class ExecutionProfile:
         if self.deadline_ms is not None and self.deadline_ms <= 0:
             raise ReproError(
                 f"deadline_ms must be > 0, got {self.deadline_ms}"
-            )
-        if not 0.0 <= self.incremental_fallback_fraction <= 1.0:
-            raise ReproError(
-                f"incremental_fallback_fraction must be in [0, 1], "
-                f"got {self.incremental_fallback_fraction}"
             )
 
     def solver_options(self) -> SolverOptions:

@@ -147,6 +147,18 @@ class Bitset:
         out._ones = self._ones
         return out
 
+    def widened(self, nbits: int) -> "Bitset":
+        """A copy over the domain ``range(nbits)``, ``nbits >=
+        self.nbits``; the elements beyond the old width are absent."""
+        if nbits < self.nbits:
+            raise ValueError(f"cannot narrow {self.nbits} bits to {nbits}")
+        words = np.zeros(_word_count(nbits), dtype=np.uint64)
+        words[: self.words.size] = self.words
+        out = Bitset._wrap(nbits, words)
+        out._count = self._count
+        out._ones = self._ones
+        return out
+
     # -- element access -----------------------------------------------
 
     def _check_index(self, index: int) -> None:

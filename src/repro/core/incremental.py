@@ -1,156 +1,62 @@
-"""Incremental maintenance of the dual-simulation fixpoint.
+"""Cached dual-simulation fixpoints on writable sessions.
 
-The paper's fixpoint is a *greatest* fixed point, and greatest fixed
-points compose block-triangularly: partition the SOI's variables into
-a **cone of influence** — every variable an edge delta can possibly
-re-activate — and its complement.  Out-of-cone variables, by
-construction, appear as targets only of inequalities whose sources are
-also out-of-cone and whose labels are untouched, so the subsystem
-constraining them is *identical* before and after the delta and their
-old fixpoint rows remain exact.  In-cone variables restart from the
-solver's initial assignment over the *new* graph (a sound
-over-approximation of the gfp) and a bounded worklist cascade — the
-ordinary solver resumed from a synthetic checkpoint — converges them
-back down.  The argument covers additions and retractions uniformly:
-both only change the touched labels' matrices, and the cone is
-computed from labels, not from the delta's direction.
+The solver's answer is the *largest* dual simulation (Sect. 3.3): the
+unique greatest fixpoint of the query's SOI over the data graph.  Each
+edge inequality reads one label's matrix and a copy inequality reads
+none, so a fixpoint cached at an earlier epoch stays exact as long as
+no label the SOI reads has changed since
+(:meth:`~repro.store.overlay.OverlayGraphView.changed_since`).  Nodes
+added meanwhile only widen its rows with zero bits: a new node has no
+edge in an unchanged label, and every variable of a compiled query is
+the target of an edge inequality, so no row of the gfp holds it.
 
-Cone construction (:func:`cone_of_influence`): seed with the canonical
-target of every :class:`~repro.core.soi.EdgeInequality` whose label
-was touched, then close under "source in cone implies target in cone"
-(:class:`~repro.core.soi.CopyInequality` has no label and participates
-in the closure only).  The closure property is what keeps the cascade
-inside the cone: every inequality with an in-cone source has an
-in-cone target, so re-evaluations never write an out-of-cone row.
+Any other change re-solves the branch cold.  Re-solving only part of
+it does not pay: dual edges put inequalities in both directions, so a
+change to one label of a connected branch can re-activate every
+variable of that branch.
 
-Fixpoints are cached per query (:class:`FixpointCache`) and validated
-against the overlay's epoch bookkeeping
-(:meth:`~repro.store.overlay.OverlayGraphView.changed_since`).  Four
-modes, each counted in the metrics registry:
+Two modes per branch, each counted in the metrics registry:
 
-* ``reuse`` — nothing changed since the cached solve: resume with an
-  empty worklist (the kernels close the open round immediately).
-* ``cascade`` — bounded re-solve of the cone only.
-* ``fallback`` — the cone's seed set exceeds
-  ``fallback_fraction`` of all inequalities; a full re-solve is
-  cheaper than pretending the delta is local.
-* ``cold`` — no cached fixpoint, the node index space grew, or the
-  cached row keys do not match this SOI's canonical roots.
+* ``reuse`` — a cached fixpoint exists, its row keys are this SOI's
+  canonical roots, and no label the SOI reads changed since it was
+  solved: its rows, widened to the current node count.
+* ``cold`` — anything else: an ordinary solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, NamedTuple, Optional
 
 from repro.bitvec import Bitset
-from repro.core.checkpoint import PHASE_DYNAMIC, PHASE_STATIC, SolverCheckpoint
 from repro.core.soi import SystemOfInequalities
-from repro.core.solver import (
-    SolverOptions,
-    SolverReport,
-    SolverResult,
-    _initial_rows,
-    solve,
-)
+from repro.core.solver import SolverOptions, SolverReport, SolverResult, solve
 from repro.obs.metrics import registry
 from repro.obs.trace import current_tracer
 
-__all__ = [
-    "FixpointCache",
-    "IncrementalSolver",
-    "cone_of_influence",
-    "cascade_seeds",
-]
-
-#: Fall back to a cold solve when the seed set exceeds this fraction
-#: of the SOI's inequalities (see ExecutionProfile.incremental_fallback_fraction).
-DEFAULT_FALLBACK_FRACTION = 0.5
+__all__ = ["CachedFixpoint", "IncrementalSolver"]
 
 
-def cone_of_influence(
-    soi: SystemOfInequalities, changed_labels: Set[str]
-) -> Set[int]:
-    """Canonical variable ids a delta on ``changed_labels`` can touch.
+class CachedFixpoint(NamedTuple):
+    """One branch's last complete fixpoint and the epoch it was
+    solved at."""
 
-    Seeds are the targets of edge inequalities carrying a changed
-    label; the closure propagates along every inequality (copy
-    inequalities included) from source to target.
-    """
-    cone: Set[int] = set()
-    for ineq in soi.inequalities:
-        label = getattr(ineq, "label", None)
-        if label is not None and label in changed_labels:
-            cone.add(soi.find(ineq.target))
-    grew = bool(cone)
-    while grew:
-        grew = False
-        for ineq in soi.inequalities:
-            if soi.find(ineq.source) in cone:
-                target = soi.find(ineq.target)
-                if target not in cone:
-                    cone.add(target)
-                    grew = True
-    return cone
-
-
-def cascade_seeds(
-    soi: SystemOfInequalities, cone: Set[int]
-) -> List[int]:
-    """Worklist indices of every inequality with an in-cone target."""
-    return [
-        idx
-        for idx, ineq in enumerate(soi.inequalities)
-        if soi.find(ineq.target) in cone
-    ]
-
-
-@dataclass
-class CacheEntry:
-    """The last complete fixpoint of one query's branches."""
-
-    epoch: int = -1
-    n_nodes: int = 0
-    #: branch number -> canonical root id -> fixpoint row (private copies).
-    branches: Dict[int, Dict[int, Bitset]] = field(default_factory=dict)
-
-
-class FixpointCache:
-    """Per-session cache of last fixpoints, keyed by query text."""
-
-    def __init__(self):
-        self._entries: Dict[str, CacheEntry] = {}
-
-    def entry(self, query_text: str) -> CacheEntry:
-        entry = self._entries.get(query_text)
-        if entry is None:
-            entry = CacheEntry()
-            self._entries[query_text] = entry
-        return entry
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        self._entries.clear()
+    epoch: int
+    #: canonical root id -> fixpoint row (private copies).
+    rows: Dict[int, Bitset]
 
 
 class IncrementalSolver:
-    """Per-query incremental solve driver handed to the pipeline.
+    """Per-query solve driver handed to the pipeline.
 
     One instance covers one ``prune()`` call; ``solve_branch`` replaces
-    the pipeline's plain ``solve`` for each compiled branch, deciding
-    reuse/cascade/fallback/cold per branch and refreshing the cache
-    with the new fixpoint either way.
+    the pipeline's plain ``solve`` for each compiled branch, reusing
+    the branch's cached fixpoint or solving cold, and caching the
+    answer either way.  ``cache`` maps branch number to
+    :class:`CachedFixpoint`; the session keeps one per query text.
     """
 
-    def __init__(
-        self,
-        entry: CacheEntry,
-        fallback_fraction: float = DEFAULT_FALLBACK_FRACTION,
-    ):
-        self.entry = entry
-        self.fallback_fraction = fallback_fraction
+    def __init__(self, cache: Dict[int, CachedFixpoint]):
+        self.cache = cache
         #: Mode of the last ``solve_branch`` call (observability).
         self.last_mode: Optional[str] = None
 
@@ -161,96 +67,39 @@ class IncrementalSolver:
         data,
         options: SolverOptions,
     ) -> SolverResult:
-        entry = self.entry
-        epoch = data.epoch
-        mode = "cold"
-        seeds: List[int] = []
-        cached = entry.branches.get(number)
-        changed: Optional[Set[str]] = None
-        if cached is not None and entry.n_nodes == data.n_nodes:
-            changed = data.changed_since(entry.epoch)
-        if changed is not None:
-            roots = {soi.find(root) for root in soi.roots()}
-            if set(cached) != roots:
-                changed = None  # query recompiled differently; resolve cold
-        if changed is not None:
-            if not changed:
-                mode = "reuse"
-            else:
-                cone = cone_of_influence(soi, changed)
-                seeds = cascade_seeds(soi, cone)
-                bound = self.fallback_fraction * len(soi.inequalities)
-                if len(seeds) > bound:
-                    mode = "fallback"
-                else:
-                    mode = "cascade"
-
-        tracer = current_tracer()
-        if mode in ("cold", "fallback"):
-            result = solve(soi, data, options)
+        cached = self.cache.get(number)
+        if cached is not None and _reusable(cached, soi, data):
+            mode = "reuse"
+            n = data.n_nodes
+            rows = {vid: row.widened(n) for vid, row in cached.rows.items()}
+            result = SolverResult(soi, data, rows, SolverReport())
         else:
-            checkpoint = self._synthetic_checkpoint(
-                soi, data, options, cached, seeds
-            )
-            result = solve(soi, data, options, resume=checkpoint)
+            mode = "cold"
+            result = solve(soi, data, options)
 
         registry().counter(_MODE_COUNTERS[mode]).inc()
+        tracer = current_tracer()
         if tracer.enabled:
             tracer.event(
-                "incremental",
-                branch=number,
-                mode=mode,
-                seeds=len(seeds),
-                epoch=epoch,
+                "incremental", branch=number, mode=mode, epoch=data.epoch
             )
         self.last_mode = mode
-
-        # A complete fixpoint refreshes the cache; a suspended solve
-        # cannot happen here (incremental runs are unbounded), but be
-        # defensive and never cache a mid-trajectory over-approximation.
-        if result.complete:
-            entry.branches[number] = {
-                vid: row.copy() for vid, row in result._rows.items()
-            }
-            entry.epoch = epoch
-            entry.n_nodes = data.n_nodes
-        else:
-            entry.branches.pop(number, None)
+        self.cache[number] = CachedFixpoint(
+            data.epoch, {vid: row.copy() for vid, row in result._rows.items()}
+        )
         return result
 
-    def _synthetic_checkpoint(
-        self,
-        soi: SystemOfInequalities,
-        data,
-        options: SolverOptions,
-        cached: Dict[int, Bitset],
-        seeds: List[int],
-    ) -> SolverCheckpoint:
-        """A checkpoint whose rows mix the cached fixpoint (out of
-        cone) with fresh initial rows over the new graph (in cone),
-        and whose worklist is exactly the cascade's seed set."""
-        fresh = _initial_rows(soi, data, options)
-        cone = {soi.find(soi.inequalities[idx].target) for idx in seeds}
-        rows = {
-            vid: (fresh[vid] if vid in cone else cached[vid])
-            for vid in fresh
-        }
-        dynamic = options.ordering == "dynamic"
-        ordered = sorted(seeds)
-        return SolverCheckpoint.capture(
-            phase=PHASE_DYNAMIC if dynamic else PHASE_STATIC,
-            n=data.n_nodes,
-            rows=rows,
-            report=SolverReport(),
-            elapsed=0.0,
-            queue=() if dynamic else ordered,
-            pending=frozenset(ordered) if dynamic else frozenset(),
-        )
+
+def _reusable(
+    cached: CachedFixpoint, soi: SystemOfInequalities, data
+) -> bool:
+    changed = data.changed_since(cached.epoch)
+    if any(edge.label in changed for edge in soi.edges):
+        return False
+    return set(cached.rows) == {soi.find(root) for root in soi.roots()}
 
 
 _MODE_COUNTERS = {
     "reuse": "incremental_reuses_total",
-    "cascade": "incremental_cascades_total",
-    "fallback": "incremental_fallbacks_total",
     "cold": "incremental_cold_solves_total",
 }

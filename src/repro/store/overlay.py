@@ -24,8 +24,8 @@ arrays at the new width) and rebuilds *dirty* labels (base edges
 minus retractions plus additions) on first touch after a mutation.
 Every mutation batch bumps an **epoch** and stamps the touched labels;
 :meth:`OverlayGraphView.changed_since` is the contract the incremental
-fixpoint maintenance layer (:mod:`repro.core.incremental`) uses to
-decide which solver variables a delta can re-activate.
+fixpoint cache (:mod:`repro.core.incremental`) uses to decide
+whether a query's cached fixpoint is still its answer.
 
 The view is also the join store's column source: the backend's
 :class:`~repro.store.triple_store.TripleStore` reads a delta-free
@@ -120,7 +120,7 @@ class OverlayGraphView:
     surface :class:`~repro.pipeline.PruningPipeline` consumes), plus
     the mutation bookkeeping the overlay needs: :meth:`apply` for
     delta batches, :attr:`epoch` / :meth:`changed_since` for the
-    incremental maintenance layer.
+    fixpoint cache.
 
     Node indices extend the base's dense index space: base nodes keep
     their indices, nodes first seen in the delta are appended.  The
@@ -150,8 +150,6 @@ class OverlayGraphView:
         self._epoch = 0
         #: label -> epoch of its last change.
         self._label_epoch: Dict[str, int] = {}
-        #: Epoch of the last node addition (index space growth).
-        self._node_epoch = 0
 
     # -- delta bookkeeping -------------------------------------------------
 
@@ -159,12 +157,9 @@ class OverlayGraphView:
     def epoch(self) -> int:
         return self._epoch
 
-    def changed_since(self, epoch: int) -> Optional[Set[str]]:
-        """Labels mutated after ``epoch``, or ``None`` when the node
-        index space itself grew (a structural change incremental
-        maintenance cannot localize — callers re-solve cold)."""
-        if self._node_epoch > epoch:
-            return None
+    def changed_since(self, epoch: int) -> Set[str]:
+        """Labels whose edges changed after ``epoch``.  Added nodes
+        change no label: they only extend the index space."""
         return {
             label for label, at in self._label_epoch.items() if at > epoch
         }
@@ -315,7 +310,6 @@ class OverlayGraphView:
         if new_nodes:
             # The index space grew: every cached pair is the wrong
             # shape now.
-            self._node_epoch = self._epoch
             self._pairs.clear()
         if n_add:
             registry().counter("overlay_adds_total").inc(n_add)

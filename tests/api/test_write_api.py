@@ -14,7 +14,9 @@ from repro import (
     UnsupportedOperationError,
     example_movie_database,
 )
+from repro.obs.metrics import registry
 from repro.storage import write_snapshot
+from repro.workloads import LUBM_QUERIES, generate_lubm
 
 X1 = """
     SELECT * WHERE {
@@ -26,6 +28,10 @@ X1 = """
 
 def _canonical(result):
     return sorted(repr(row) for row in result.rows())
+
+
+def _small_lubm():
+    return generate_lubm(n_universities=2, seed=3, spiral_length=10)
 
 
 @pytest.fixture
@@ -139,6 +145,32 @@ class TestWritesAnswerQueries:
         assert db.epoch == 1
         # Read-only sessions have no epoch.
         assert Database.in_memory(example_movie_database()).epoch is None
+
+    @pytest.mark.parametrize("name", sorted(LUBM_QUERIES))
+    def test_node_only_write_reuses_cached_fixpoint(self, name):
+        # No LUBM query reads `name`: the write only adds two nodes,
+        # so the re-query reuses every branch's cached fixpoint.
+        query = LUBM_QUERIES[name]
+        write = [("brand:new", "name", "x")]
+        profile = ExecutionProfile(pruning="pruned")
+        db = Database.writable(_small_lubm(), profile)
+        list(db.query(query))
+        n_nodes = db.stats().n_nodes
+        db.add(write)
+        assert db.stats().n_nodes == n_nodes + 2
+        reuses = registry().counter("incremental_reuses_total")
+        colds = registry().counter("incremental_cold_solves_total")
+        reuses_before, colds_before = reuses.value, colds.value
+        after = _canonical(db.query(query))
+        assert reuses.value > reuses_before
+        assert colds.value == colds_before
+        if name == "L0":
+            assert reuses.value == reuses_before + 1
+        control = Database.writable(
+            _small_lubm(), profile.replace(incremental=False)
+        )
+        control.add(write)
+        assert after == _canonical(control.query(query))
 
     def test_return_counts_are_effective_not_requested(self):
         db = Database.writable(example_movie_database())

@@ -75,6 +75,22 @@ class TestConstruction:
         assert a.to_set() == {1}
         assert b.to_set() == {1, 2}
 
+    @pytest.mark.parametrize("nbits", [70, 128, 200])
+    def test_widened_adds_absent_elements(self, nbits):
+        a = Bitset.from_indices(70, [0, 63, 69])
+        a.count()
+        b = a.widened(nbits)
+        assert b.nbits == nbits
+        assert b.to_set() == {0, 63, 69}
+        assert b.count() == 3
+        assert b == Bitset.from_indices(nbits, [0, 63, 69])
+        b.discard(0)
+        assert a.to_set() == {0, 63, 69}
+
+    def test_widened_rejects_narrowing(self):
+        with pytest.raises(ValueError):
+            Bitset.zeros(70).widened(69)
+
 
 class TestElementAccess:
     def test_add_and_contains(self):

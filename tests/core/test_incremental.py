@@ -1,22 +1,16 @@
-"""Incremental fixpoint maintenance: cone, seeds, cache, mode logic.
+"""The fixpoint cache: reuse or re-solve cold.
 
-The cone of influence must over-approximate every variable a delta
-can re-activate (soundness of reuse), the cascade must converge to
-the same gfp as a cold solve (bit-identity), and the solver driver
-must pick reuse/cascade/fallback/cold exactly per the documented
-rules.
+A cached fixpoint is reused exactly when no label its SOI reads has
+changed since it was solved (new nodes only widen its rows with zero
+bits); anything else solves cold.  Either way the answer is the
+greatest fixpoint a cold solve over the current graph finds.
 """
 
 import pytest
 
+import repro.core.solver as solver_module
 from repro.core import SolverOptions, solve
-from repro.core.incremental import (
-    CacheEntry,
-    FixpointCache,
-    IncrementalSolver,
-    cascade_seeds,
-    cone_of_influence,
-)
+from repro.core.incremental import IncrementalSolver
 from repro.api.backend import InMemoryBackend
 from repro.core.soi import SystemOfInequalities
 from repro.graph import example_movie_database
@@ -25,98 +19,14 @@ from repro.store.overlay import OverlayGraphView
 
 
 def _chain_soi():
-    """a -p-> b -q-> c (dual): the bidirectional-inequality shape."""
+    """a -p-> b -q-> c (dual)."""
     soi = SystemOfInequalities()
     a = soi.new_variable("a")
     b = soi.new_variable("b")
     c = soi.new_variable("c")
     soi.add_edge_constraint(a, "p", b)
     soi.add_edge_constraint(b, "q", c)
-    return soi, (a, b, c)
-
-
-def _two_components_soi():
-    """a -p-> b and c -q-> d, disconnected."""
-    soi = SystemOfInequalities()
-    a = soi.new_variable("a")
-    b = soi.new_variable("b")
-    c = soi.new_variable("c")
-    d = soi.new_variable("d")
-    soi.add_edge_constraint(a, "p", b)
-    soi.add_edge_constraint(c, "q", d)
-    return soi, (a, b, c, d)
-
-
-class TestConeOfInfluence:
-    def test_connected_query_cones_whole_component(self):
-        # Dual edges put inequalities in both directions, so a delta
-        # on any label of a connected query reaches every variable.
-        soi, (a, b, c) = _chain_soi()
-        assert cone_of_influence(soi, {"p"}) == {a, b, c}
-        assert cone_of_influence(soi, {"q"}) == {a, b, c}
-
-    def test_cone_stays_within_component(self):
-        soi, (a, b, c, d) = _two_components_soi()
-        assert cone_of_influence(soi, {"q"}) == {c, d}
-        assert cone_of_influence(soi, {"p"}) == {a, b}
-
-    def test_untouched_labels_give_empty_cone(self):
-        soi, _ = _chain_soi()
-        assert cone_of_influence(soi, {"unrelated"}) == set()
-        assert cascade_seeds(soi, set()) == []
-
-    def test_plain_simulation_edge_cones_one_direction(self):
-        # dual=False keeps only the backward inequality (target=a),
-        # and nothing has source a, so the cone is just {a}.
-        soi = SystemOfInequalities()
-        a = soi.new_variable("a")
-        b = soi.new_variable("b")
-        soi.add_edge_constraint(a, "p", b, dual=False)
-        assert cone_of_influence(soi, {"p"}) == {a}
-
-    def test_copy_inequalities_participate_in_closure(self):
-        soi = SystemOfInequalities()
-        a = soi.new_variable("a")
-        b = soi.new_variable("b")
-        s = soi.new_variable("b_Q2")
-        soi.add_edge_constraint(a, "p", b, dual=False)
-        soi.add_copy_constraint(target=s, source=a)
-        # a seeds the cone; the label-less copy a -> s drags s in.
-        assert cone_of_influence(soi, {"p"}) == {a, s}
-
-    def test_cone_respects_unification(self):
-        soi, (a, b, c, d) = _two_components_soi()
-        root = soi.union(b, c)
-        cone = cone_of_influence(soi, {"p"})
-        # Unifying b with c bridges the components.
-        assert cone == {soi.find(v) for v in (a, b, c, d)}
-        assert root in cone
-
-    def test_cascade_seeds_cover_in_cone_targets(self):
-        soi, (a, b, c) = _chain_soi()
-        cone = cone_of_influence(soi, {"p"})
-        seeds = cascade_seeds(soi, cone)
-        assert seeds == [0, 1, 2, 3]  # every inequality: full cone
-        partial = cascade_seeds(_two_components_soi()[0], {2, 3})
-        assert partial == [2, 3]  # only the q-component's inequalities
-
-
-class TestFixpointCache:
-    def test_entry_identity_and_len(self):
-        cache = FixpointCache()
-        assert len(cache) == 0
-        e1 = cache.entry("SELECT ...")
-        assert cache.entry("SELECT ...") is e1
-        assert len(cache) == 1
-        cache.entry("SELECT other")
-        assert len(cache) == 2
-        cache.clear()
-        assert len(cache) == 0
-
-    def test_fresh_entry_is_cold(self):
-        entry = FixpointCache().entry("q")
-        assert entry.epoch == -1
-        assert entry.branches == {}
+    return soi
 
 
 def _directed_soi():
@@ -144,8 +54,8 @@ class TestIncrementalSolver:
     def view(self):
         return OverlayGraphView(InMemoryBackend(example_movie_database()))
 
-    def _solver(self, fraction=1.0):
-        return IncrementalSolver(CacheEntry(), fallback_fraction=fraction)
+    def _solver(self):
+        return IncrementalSolver({})
 
     def test_first_solve_is_cold_then_reuse(self, view):
         soi = _directed_soi()
@@ -157,52 +67,59 @@ class TestIncrementalSolver:
         assert solver.last_mode == "reuse"
         assert _rows(r2) == _rows(r1)
 
-    def test_cascade_is_bit_identical_to_cold(self, view):
+    @pytest.mark.parametrize("ordering", ["sparsity", "dynamic"])
+    def test_read_label_change_resolves_cold(self, view, ordering):
         soi = _directed_soi()
-        solver = self._solver(fraction=1.0)
-        solver.solve_branch(0, soi, view, SolverOptions())
-        view.apply(retracts=[("G. Hamilton", "directed", "Goldfinger")])
-        before = _mode_count("cascade")
-        incremental = solver.solve_branch(0, soi, view, SolverOptions())
-        assert solver.last_mode == "cascade"
-        assert _mode_count("cascade") == before + 1
-        cold = solve(_directed_soi(), view, SolverOptions())
-        assert _rows(incremental) == _rows(cold)
-
-    def test_cascade_under_dynamic_ordering(self, view):
-        soi = _directed_soi()
-        options = SolverOptions(ordering="dynamic")
-        solver = self._solver(fraction=1.0)
+        options = SolverOptions(ordering=ordering)
+        solver = self._solver()
         solver.solve_branch(0, soi, view, options)
         view.apply(retracts=[("G. Hamilton", "directed", "Goldfinger")])
-        incremental = solver.solve_branch(0, soi, view, options)
-        assert solver.last_mode == "cascade"
-        assert _rows(incremental) == _rows(solve(_directed_soi(), view, options))
+        before = _mode_count("cold")
+        result = solver.solve_branch(0, soi, view, options)
+        assert solver.last_mode == "cold"
+        assert _mode_count("cold") == before + 1
+        assert _rows(result) == _rows(solve(_directed_soi(), view, options))
 
-    def test_irrelevant_delta_cascades_with_empty_worklist(self, view):
+    def test_outside_label_change_reuses_without_initial_rows(
+        self, view, monkeypatch
+    ):
         soi = _directed_soi()
-        solver = self._solver(fraction=0.0)  # any seed would fall back
+        solver = self._solver()
         r1 = solver.solve_branch(0, soi, view, SolverOptions())
         view.apply(retracts=[("B. De Palma", "awarded", "Oscar")])
+        calls = []
+        initial_rows = solver_module._initial_rows
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return initial_rows(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "_initial_rows", counting)
+        before = _mode_count("reuse")
         r2 = solver.solve_branch(0, soi, view, SolverOptions())
-        assert solver.last_mode == "cascade"  # empty cone, zero seeds
+        assert solver.last_mode == "reuse"
+        assert _mode_count("reuse") == before + 1
+        assert calls == []
         assert _rows(r2) == _rows(r1)
 
-    def test_large_cone_falls_back(self, view):
+    def test_node_growth_in_outside_label_widens_cached_rows(self, view):
         soi = _directed_soi()
-        solver = self._solver(fraction=0.0)
+        solver = self._solver()
         solver.solve_branch(0, soi, view, SolverOptions())
-        view.apply(retracts=[("G. Hamilton", "directed", "Goldfinger")])
-        before = _mode_count("fallback")
+        n_before = view.n_nodes
+        view.apply(adds=[("New Director", "awarded", "New Prize")])
+        assert view.n_nodes == n_before + 2
         result = solver.solve_branch(0, soi, view, SolverOptions())
-        assert solver.last_mode == "fallback"
-        assert _mode_count("fallback") == before + 1
-        assert _rows(result) == _rows(solve(_directed_soi(), view, SolverOptions()))
+        assert solver.last_mode == "reuse"
+        assert all(row.nbits == view.n_nodes for row in result._rows.values())
+        cold = solve(_directed_soi(), view, SolverOptions())
+        assert _rows(result) == _rows(cold)
 
     def test_node_growth_resolves_cold(self, view):
         soi = _directed_soi()
         solver = self._solver()
         solver.solve_branch(0, soi, view, SolverOptions())
+        # The new nodes arrive on `directed`, a label the query reads.
         view.apply(adds=[("New Director", "directed", "New Movie")])
         result = solver.solve_branch(0, soi, view, SolverOptions())
         assert solver.last_mode == "cold"
@@ -210,7 +127,7 @@ class TestIncrementalSolver:
 
     def test_recompiled_roots_resolve_cold(self, view):
         solver = self._solver()
-        solver.solve_branch(0, _chain_soi()[0], view, SolverOptions())
+        solver.solve_branch(0, _chain_soi(), view, SolverOptions())
         # Same branch number, structurally different SOI: cached row
         # keys no longer match the canonical roots.
         solver.solve_branch(0, _directed_soi(), view, SolverOptions())
@@ -220,8 +137,9 @@ class TestIncrementalSolver:
         soi = _directed_soi()
         solver = self._solver()
         solver.solve_branch(0, soi, view, SolverOptions())
-        assert 0 in solver.entry.branches
-        # Simulate a suspended trajectory having evicted the branch.
-        solver.entry.branches.pop(0)
+        assert 0 in solver.cache
+        # A bounded solve bypasses the cache, so a branch can lack an
+        # entry; simulate that by evicting it.
+        solver.cache.pop(0)
         solver.solve_branch(0, soi, view, SolverOptions())
         assert solver.last_mode == "cold"

@@ -104,10 +104,11 @@ class TestEpochs:
         assert overlay.graph.changed_since(e0) == {"awarded"}
         assert overlay.graph.changed_since(overlay.epoch) == set()
 
-    def test_new_nodes_make_changed_since_none(self, overlay):
+    def test_new_nodes_change_only_their_label(self, overlay):
         e0 = overlay.epoch
         overlay.add([("brand", "new", "nodes")])
-        assert overlay.graph.changed_since(e0) is None
+        assert overlay.epoch == e0 + 1
+        assert overlay.graph.changed_since(e0) == {"new"}
 
     def test_existing_node_mutation_keeps_changed_since(self, overlay):
         overlay.add([("a", "p", "b")])  # node growth here

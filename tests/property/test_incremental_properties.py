@@ -98,6 +98,14 @@ def test_cached_fixpoints_match_cold(kernel, script):
     _run_script(profile, base, batches)
 
 
+@settings(max_examples=20, deadline=None)
+@given(script=scripts)
+def test_process_default_kernel_matches_cold(script):
+    # kernel=None defers to the process-wide default kernel.
+    base, batches = script
+    _run_script(ExecutionProfile(pruning="pruned"), base, batches)
+
+
 @settings(max_examples=10, deadline=None)
 @given(script=scripts)
 def test_auto_mode_matches_cold(script):
